@@ -37,7 +37,9 @@ use std::process::Command;
 
 use vortex_bench::cli::{default_jobs, Flags};
 use vortex_bench::driver::{run_queue, QueueSpec};
-use vortex_bench::{atomic_write, paper_sweep, parse_shard, subsample, CampaignCache, Scale};
+use vortex_bench::{
+    atomic_write, paper_sweep, parse_shard, select_kernels, subsample, CampaignCache, Scale,
+};
 use vortex_sim::DeviceConfig;
 
 /// Forks `workers` copies of this binary over disjoint strided shards of
@@ -158,6 +160,13 @@ fn main() {
             std::process::exit(2);
         }
     });
+    // Validate the kernel filter before any worker is spawned.
+    let scale = if flags.has("paper-scale") { Scale::Paper } else { Scale::Sweep };
+    let kernels = flags.get_list("kernels");
+    if let Err(e) = select_kernels(scale, kernels.as_deref()) {
+        eprintln!("invalid --kernels: {e}");
+        std::process::exit(2);
+    }
 
     let workers = flags.get_usize("workers", 1);
     if workers == 0 {
@@ -183,9 +192,9 @@ fn main() {
     let spec = QueueSpec {
         dir,
         cache_dir,
-        kernels: flags.get_list("kernels"),
+        kernels,
         configs,
-        scale: if flags.has("paper-scale") { Scale::Paper } else { Scale::Sweep },
+        scale,
         shard,
         jobs: flags.get_usize("jobs", default_jobs()),
         budget: flags.get_str("budget").map(|b| match b.parse() {

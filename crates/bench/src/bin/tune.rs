@@ -34,7 +34,7 @@ use std::path::Path;
 use vortex_bench::cli::{default_jobs, Flags};
 use vortex_bench::tune::{DEFAULT_BUDGETS, DEFAULT_TOPOLOGIES};
 use vortex_bench::{
-    atomic_write, kernel_factories, merge_tune_files, render_tune_json, run_tune_evaluation,
+    atomic_write, merge_tune_files, render_tune_json, run_tune_evaluation, select_kernels,
     CampaignCache, Scale, TuneFile,
 };
 use vortex_sim::DeviceConfig;
@@ -96,11 +96,11 @@ fn main() {
             std::process::exit(1);
         }
     });
-    let wanted = flags.get_list("kernels");
-    let factories: Vec<_> = kernel_factories(scale)
-        .into_iter()
-        .filter(|f| wanted.as_ref().is_none_or(|ws| ws.iter().any(|w| w == f.name)))
-        .collect();
+    let factories =
+        select_kernels(scale, flags.get_list("kernels").as_deref()).unwrap_or_else(|e| {
+            eprintln!("invalid --kernels: {e}");
+            std::process::exit(2);
+        });
 
     let file = run_tune_evaluation(&factories, &topologies, &budgets, jobs, cache.as_ref())
         .unwrap_or_else(|e| {

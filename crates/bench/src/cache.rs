@@ -428,8 +428,7 @@ impl StoredRow {
              \"l2_hits\": {}, \"l2_misses\": {}, \"l2_evictions\": {}, \
              \"dram_requests\": {}, \
              \"launches\": {}, \"dispatch_rounds\": {}, \"round_tasks\": {}, \
-             \"instructions\": {}, \"fused_instructions\": {}, \"fused_blocks\": {}, \
-             \"issued_instructions\": {}, \
+             \"instructions\": {}, \"issued_instructions\": {}, \
              \"port_accesses\": {}, \"port_stall_slots\": {}}}",
             self.topo,
             self.cycles_naive,
@@ -450,8 +449,6 @@ impl StoredRow {
             d.rounds,
             d.round_tasks,
             d.instructions,
-            d.fused_instructions,
-            d.fused_blocks,
             self.instructions,
             self.port_accesses,
             self.port_stall_slots,
@@ -499,8 +496,6 @@ impl StoredRow {
             rounds: field(line, "dispatch_rounds")?,
             round_tasks: field(line, "round_tasks")?,
             instructions: field(line, "instructions")?,
-            fused_instructions: field(line, "fused_instructions")?,
-            fused_blocks: field(line, "fused_blocks")?,
         };
         Some((
             key,
@@ -551,8 +546,6 @@ mod tests {
                 rounds: 4 * scale,
                 round_tasks: 32 * scale,
                 instructions: 1000 * scale,
-                fused_instructions: 40 * scale,
-                fused_blocks: 8 * scale,
             },
             instructions: 3500 * scale,
             port_accesses: 60 * scale,
@@ -577,6 +570,18 @@ mod tests {
         assert_eq!(parsed, stored);
         // f64 exactness is the load-bearing part: bit-identical, not close.
         assert_eq!(parsed.dram_utilization.to_bits(), row.dram_utilization.to_bits());
+        let old = with_fusion_counters(&line);
+        assert_ne!(old, line);
+        assert_eq!(StoredRow::parse_line(old.trim_end()), Some((key, stored)));
+    }
+
+    /// `text` as written while the store still carried the block-fusion
+    /// counters: every line has two extra dispatch fields.
+    fn with_fusion_counters(text: &str) -> String {
+        text.replace(
+            "\"issued_instructions\"",
+            "\"fused_instructions\": 40, \"fused_blocks\": 8, \"issued_instructions\"",
+        )
     }
 
     #[test]
@@ -615,6 +620,13 @@ mod tests {
         // Wrong key and wrong kernel miss.
         assert!(reopened.lookup("vecadd", 43, &row.config).is_none());
         assert!(reopened.lookup("relu", key, &row.config).is_none());
+        // A shard written while the store carried the block-fusion
+        // counters answers warm with the same row.
+        let path = dir.join("vecadd.jsonl");
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, with_fusion_counters(&text)).unwrap();
+        let old = CampaignCache::open(&dir).unwrap();
+        assert_eq!(old.lookup("vecadd", key, &row.config), Some(hit));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

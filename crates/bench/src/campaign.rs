@@ -93,6 +93,34 @@ pub fn kernel_factories(scale: Scale) -> Vec<KernelFactory> {
     factories
 }
 
+/// The workload kernels named in `wanted` (all of them for `None`), in
+/// [`kernel_factories`] order — the `--kernels` filter of every driver.
+///
+/// # Errors
+///
+/// A message naming every entry of `wanted` that is not a kernel, so a
+/// typo fails loudly instead of selecting nothing.
+pub fn select_kernels(
+    scale: Scale,
+    wanted: Option<&[String]>,
+) -> Result<Vec<KernelFactory>, String> {
+    let all = kernel_factories(scale);
+    let Some(wanted) = wanted else {
+        return Ok(all);
+    };
+    let unknown: Vec<&str> =
+        wanted.iter().map(String::as_str).filter(|w| !all.iter().any(|f| f.name == *w)).collect();
+    if !unknown.is_empty() {
+        let known: Vec<&str> = all.iter().map(|f| f.name).collect();
+        return Err(format!(
+            "unknown kernel(s) {} (known: {})",
+            unknown.join(", "),
+            known.join(", ")
+        ));
+    }
+    Ok(all.into_iter().filter(|f| wanted.iter().any(|w| w == f.name)).collect())
+}
+
 /// Measurements of one kernel on one configuration under the three
 /// mapping policies of the paper.
 #[derive(Clone, Debug, PartialEq)]
@@ -536,6 +564,21 @@ fn measure_config(
 mod tests {
     use super::*;
     use crate::sweep::{paper_sweep, subsample};
+
+    #[test]
+    fn select_kernels_filters_in_factory_order_and_names_typos() {
+        let names = |fs: Vec<KernelFactory>| fs.iter().map(|f| f.name).collect::<Vec<_>>();
+        assert_eq!(select_kernels(Scale::Sweep, None).unwrap().len(), 10);
+        let wanted = ["reduce".to_owned(), "vecadd".to_owned()];
+        assert_eq!(
+            names(select_kernels(Scale::Sweep, Some(&wanted)).unwrap()),
+            ["vecadd", "reduce"]
+        );
+        let typo = ["vecadd".to_owned(), "vecad".to_owned(), "relu2".to_owned()];
+        let err = select_kernels(Scale::Sweep, Some(&typo)).err().unwrap();
+        assert!(err.starts_with("unknown kernel(s) vecad, relu2 "), "{err}");
+        assert!(err.contains("vecadd"), "the message lists the known kernels: {err}");
+    }
 
     #[test]
     fn tiny_campaign_produces_ordered_rows() {

@@ -33,7 +33,7 @@ use vortex_kernels::KernelError;
 use vortex_sim::DeviceConfig;
 
 use crate::cache::{campaign_key_from_digest, CacheCounters, CampaignCache};
-use crate::campaign::{kernel_factories, run_campaign_cached_traced, CampaignResult, Scale};
+use crate::campaign::{run_campaign_cached_traced, select_kernels, CampaignResult, Scale};
 use crate::persist::atomic_write;
 use crate::probe::{render_json, KernelRow, ProbeFile};
 use crate::tracestore::TraceStore;
@@ -140,6 +140,8 @@ pub enum DriverError {
     CacheDisabled,
     /// The manifest or store contents are unusable (message says how).
     Corrupt(String),
+    /// The spec itself is unusable, e.g. it names an unknown kernel.
+    Spec(String),
 }
 
 impl std::fmt::Display for DriverError {
@@ -159,6 +161,7 @@ impl std::fmt::Display for DriverError {
                 write!(f, "--resume requires the campaign cache (VORTEX_CAMPAIGN_CACHE=0 is set)")
             }
             DriverError::Corrupt(msg) => write!(f, "queue state unusable: {msg}"),
+            DriverError::Spec(msg) => write!(f, "invalid queue spec: {msg}"),
         }
     }
 }
@@ -194,10 +197,8 @@ pub fn run_queue(spec: &QueueSpec) -> Result<QueueOutcome, DriverError> {
     }
     let traces = spec.trace_dir.as_deref().map(TraceStore::open).transpose()?;
 
-    let factories: Vec<_> = kernel_factories(spec.scale)
-        .into_iter()
-        .filter(|f| spec.kernels.as_ref().is_none_or(|ws| ws.iter().any(|w| w == f.name)))
-        .collect();
+    let factories =
+        select_kernels(spec.scale, spec.kernels.as_deref()).map_err(DriverError::Spec)?;
     let configs = spec.sharded_configs();
 
     // The queue: kernel-major, grid order — the same order a plain

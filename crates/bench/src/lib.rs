@@ -26,8 +26,8 @@ pub mod tune;
 
 pub use cache::{cache_enabled_by_env, campaign_key, CacheCounters, CampaignCache};
 pub use campaign::{
-    kernel_factories, run_campaign, run_campaign_cached, CampaignResult, ConfigRow, KernelFactory,
-    Scale,
+    kernel_factories, run_campaign, run_campaign_cached, select_kernels, CampaignResult, ConfigRow,
+    KernelFactory, Scale,
 };
 pub use persist::{atomic_write, strip_run_metadata};
 pub use probe::{merge_probe_files, parse_probe_json, render_json, KernelRow, ProbeFile};

@@ -90,11 +90,6 @@ pub struct LaunchReport {
     pub cycles: Cycle,
     /// Instructions issued during the launch.
     pub instructions: u64,
-    /// Instructions issued through the fused basic-block path (subset of
-    /// [`instructions`](LaunchReport::instructions)).
-    pub fused_instructions: u64,
-    /// Fused block dispatches during the launch.
-    pub fused_blocks: u64,
 }
 
 /// An error raised by [`Runtime::launch`].
@@ -410,12 +405,7 @@ impl Runtime {
         device.run_with(limit, trace)?;
 
         let end = device.counters();
-        Ok(plan.report(
-            device.now() - start_cycle,
-            end.instructions - start.instructions,
-            end.fused_instructions - start.fused_instructions,
-            end.fused_blocks - start.fused_blocks,
-        ))
+        Ok(plan.report(device.now() - start_cycle, end.instructions - start.instructions))
     }
 
     /// [`launch`](Runtime::launch) in **replay** mode: the launch's
@@ -483,12 +473,7 @@ impl Runtime {
         }
 
         let end = device.counters();
-        Ok(plan.report(
-            device.now() - start_cycle,
-            end.instructions - start.instructions,
-            end.fused_instructions - start.fused_instructions,
-            end.fused_blocks - start.fused_blocks,
-        ))
+        Ok(plan.report(device.now() - start_cycle, end.instructions - start.instructions))
     }
 }
 

@@ -1,11 +1,11 @@
 //! Record/replay engine validation over real kernels: bit-identity with
-//! execute mode (same config, different timing, fusion on/off),
+//! execute mode (same config, different timing),
 //! record→replay→re-record idempotence, and mismatch rejection.
 
 use vortex_core::{LwsPolicy, Runtime};
 use vortex_kernels::{
     record_kernel_prepared, replay_kernel_prepared, replay_kernel_traced, run_kernel_prepared,
-    Kernel, Reduce, RunOutcome, Saxpy, VecAdd,
+    Kernel, Reduce, RunOutcome, Saxpy,
 };
 use vortex_sim::{DeviceConfig, RecordedTrace, TraceRecorder};
 
@@ -109,25 +109,6 @@ fn replay_retimes_under_a_different_cache_geometry() {
         let replayed = replay(k, &small, LwsPolicy::Auto, &rec);
         assert_eq!(fingerprint(&executed), fingerprint(&replayed));
     }
-}
-
-#[test]
-fn replay_matches_execute_with_fusion_off() {
-    // A trace recorded with fusion ON replays under fusion OFF, and the
-    // replay equals *executing* with fusion off (fused-dispatch counters
-    // included — the trace carries no fusion state).
-    let config = DeviceConfig::with_topology(1, 4, 8);
-    let mut k = VecAdd::new(256);
-    let (_, rec) = record(&mut k, &config, LwsPolicy::Auto);
-
-    let program = k.build().unwrap();
-    let mut rt = Runtime::new(config);
-    rt.load_program(&program);
-    rt.device_mut().set_block_fusion(false);
-    let executed = run_kernel_prepared(&mut k, &program, &mut rt, LwsPolicy::Auto).unwrap();
-    let replayed =
-        replay_kernel_prepared(&mut k, &program, &mut rt, LwsPolicy::Auto, &rec).unwrap();
-    assert_eq!(fingerprint(&executed), fingerprint(&replayed));
 }
 
 #[test]

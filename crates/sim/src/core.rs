@@ -21,7 +21,6 @@ use crate::config::TimingConfig;
 use crate::counters::DeviceCounters;
 use crate::decoded::{DecodedInstr, InstrMeta};
 use crate::error::SimError;
-use crate::exec::block::{BlockPlan, Step, StepOp};
 use crate::exec::span::{self, Span};
 use crate::exec::tables;
 use crate::exec::{BinKernel, FmaKernel, ImmKernel, UnKernel};
@@ -50,12 +49,6 @@ pub(crate) struct CoreCtx<'a, S: TraceSink + ?Sized> {
     pub horizon: &'a mut Cycle,
     /// Cache-line size (hoisted from the memory system once per run).
     pub line_bytes: u32,
-    /// The program's fused basic-block plan (see
-    /// [`BlockPlan`](crate::exec::block::BlockPlan)).
-    pub blocks: &'a BlockPlan,
-    /// Whether the fused block dispatch path is enabled (A/B switch for
-    /// the bit-identity gate; cycle results are identical either way).
-    pub fuse: bool,
     /// When set, the run is a *replay*: [`Core::issue`] consumes recorded
     /// [`WarpEvent`]s instead of executing row kernels — scheduling,
     /// hazards and memory-system timing run unchanged off trace-visible
@@ -353,24 +346,6 @@ impl Core {
                 }
                 let (instr, meta, t) = self.next_for(w, ctx)?;
                 if t <= now {
-                    // Fused block dispatch: when the warp sits at the
-                    // start of a precompiled basic block whose schedule
-                    // fits strictly inside this core's uncontested window,
-                    // the whole run executes here in one walk — same issue
-                    // cycles, write-backs, counters and trace events as
-                    // the per-instruction loop below, minus its per-cycle
-                    // scheduler rounds (see [`Core::fuse_block`]).
-                    if ctx.fuse {
-                        if let Some(end) = self.fuse_block(w, now, horizon, ctx) {
-                            self.last_issued = w;
-                            self.refresh_after_issue(w, ctx);
-                            now = end;
-                            *clock = now;
-                            issued = true;
-                            issued_next = self.warp_next[w];
-                            break;
-                        }
-                    }
                     self.issue(w, instr, &meta, now, ctx)?;
                     self.last_issued = w;
                     self.refresh_after_issue(w, ctx);
@@ -477,8 +452,7 @@ impl Core {
         }
         // The row-kernel application paths (broadcast, binary, immediate,
         // unary, FMA, div/rem strength reduction) are shared methods —
-        // `broadcast_k`, `run_bin_k`, … — because the fused block walk
-        // ([`Core::exec_step`]) dispatches to exactly the same code.
+        // `broadcast_k`, `run_bin_k`, … — called from several arms each.
         macro_rules! wb_int {
             ($rd:expr, $lat:expr) => {{
                 if !$rd.is_zero() {
@@ -1271,147 +1245,6 @@ impl Core {
                 Ok(out.completion)
             }
             _ => Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-        }
-    }
-
-    /// Attempts to dispatch warp `w`'s next instructions as one fused
-    /// basic-block walk. Returns `Some(end)` — the issue cycle of the
-    /// last fused instruction, i.e. the new "now" — when at least two
-    /// steps executed, `None` to fall back to the per-instruction path.
-    ///
-    /// Exactness argument. Fusion requires (a) the warp to sit at the
-    /// first slot of a precompiled block, (b) every block-touched
-    /// register to be idle at `now`, so the block's static schedule
-    /// (computed for an all-idle entry) gives each step's true issue
-    /// cycle, and (c) each fused step's issue cycle `now + dt` to lie
-    /// **strictly** below `lim`, the minimum of this core's event horizon
-    /// and every *other* warp's next-issue lower bound. Under (c) no
-    /// other warp (or core) can become due at or before any fused issue
-    /// cycle, so the per-instruction scheduler would have picked warp `w`
-    /// at exactly those cycles anyway — the walk replays the identical
-    /// issue sequence, write-back times, counter increments and trace
-    /// events, and merely skips the scheduler rounds in between. A block
-    /// whose tail crosses `lim` is cut: the prefix executes fused (with
-    /// per-step scoreboard updates, leaving exactly the mid-block state
-    /// the per-instruction path would hold) and the rest re-arbitrates.
-    fn fuse_block<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        now: Cycle,
-        horizon: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Option<Cycle> {
-        let pc = self.warps[w].pc;
-        // `next_for` just fetched successfully, so `pc` is in range.
-        let idx = ((pc - ctx.code_base) / 4) as usize;
-        let b = ctx.blocks.fused_at(idx)?;
-        let blk = ctx.blocks.block(b);
-        let steps = ctx.blocks.steps(blk);
-        // The uncontested window: no other warp's bound, and nothing on
-        // any other core, may precede a fused issue cycle. Fusing fewer
-        // than two steps is pure overhead, so the scan folds that bound
-        // in and bails at the first contender — with ready warps resident
-        // (the common contested case) this exits on the first probe.
-        let bound = now + steps[1].dt;
-        if bound >= horizon {
-            return None;
-        }
-        let mut lim = horizon;
-        for (v, &at) in self.warp_next.iter().enumerate() {
-            if v != w && at < lim {
-                if at <= bound {
-                    return None;
-                }
-                lim = at;
-            }
-        }
-        // Hazard entry: the static schedule is exact only if every row
-        // the block touches is idle. The warp watermark usually answers
-        // in one compare; otherwise check the block's touched-row set.
-        if self.rf.busy_watermark(w) > now {
-            for &r in ctx.blocks.regs(blk) {
-                if self.rf.busy_until(w, r as usize) > now {
-                    return None;
-                }
-            }
-        }
-        let tmask = self.warps[w].tmask;
-        let full = tmask == self.warps[w].full_mask();
-        // How many steps fit: the whole block in the common case, else
-        // the longest prefix whose issue cycles stay inside the window.
-        let whole = now + blk.dt_last < lim;
-        let count = if whole {
-            steps.len()
-        } else {
-            let mut c = 2;
-            while c < steps.len() && now + steps[c].dt < lim {
-                c += 1;
-            }
-            c
-        };
-        for (i, step) in steps[..count].iter().enumerate() {
-            if let Some(sink) = ctx.trace.as_mut() {
-                sink.on_issue(&IssueEvent {
-                    cycle: now + step.dt,
-                    core: self.id,
-                    warp: w,
-                    pc: pc.wrapping_add(4 * i as u32),
-                    tmask,
-                    instr: ctx.code[idx + i].instr,
-                });
-            }
-            // Fused blocks hold only straight-line register arithmetic
-            // (no memory, control or value-dependent outcomes), so replay
-            // keeps the fused timing walk and skips only the row kernels.
-            if ctx.replay.is_none() {
-                self.exec_step(w, full, tmask, step);
-            }
-            if !whole && step.wb != 0 {
-                // Prefix path: per-step releases, so the continuation
-                // sees the exact mid-block scoreboard.
-                self.rf.set_busy(w, step.wb as usize, now + step.wb_at);
-            }
-        }
-        if whole {
-            for &(r, at) in ctx.blocks.writes(blk) {
-                self.rf.set_busy(w, r as usize, now + at);
-            }
-            ctx.counters.classes.merge(&blk.classes);
-        } else {
-            for step in &steps[..count] {
-                ctx.counters.classes.record(step.class);
-            }
-        }
-        ctx.counters.instructions += count as u64;
-        ctx.counters.lane_instructions += (count as u64) * u64::from(tmask.count_ones());
-        ctx.counters.fused_instructions += count as u64;
-        ctx.counters.fused_blocks += 1;
-        let end = now + steps[count - 1].dt;
-        self.warps[w].pc = pc.wrapping_add(4 * count as u32);
-        self.warps[w].ready_at = end + 1;
-        self.warp_next[w] = end + 1;
-        Some(end)
-    }
-
-    /// Executes the architectural effect of one fused step (the same row
-    /// kernels the per-instruction arms dispatch to).
-    #[inline]
-    fn exec_step(&mut self, w: usize, full: bool, tmask: u32, step: &Step) {
-        let d = step.wb as usize;
-        match step.op {
-            StepOp::Nop => {}
-            StepOp::Broadcast { v } => self.broadcast_k(w, full, tmask, d, v),
-            StepOp::Imm { k, s, imm } => self.run_imm_k(w, full, tmask, k, d, s as usize, imm),
-            StepOp::Bin { k, s1, s2 } => {
-                self.run_bin_k(w, full, tmask, k, d, s1 as usize, s2 as usize);
-            }
-            StepOp::DivRem { rem, k, s1, s2 } => {
-                self.run_divrem_k(w, full, tmask, rem, k, d, s1 as usize, s2 as usize);
-            }
-            StepOp::Un { k, s } => self.run_un_k(w, full, tmask, k, d, s as usize),
-            StepOp::Fma { k, s1, s2, s3 } => {
-                self.run_fma_k(w, full, tmask, k, d, s1 as usize, s2 as usize, s3 as usize);
-            }
         }
     }
 

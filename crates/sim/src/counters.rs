@@ -47,14 +47,6 @@ impl ClassCounts {
     pub fn mem(&self) -> u64 {
         self.get(ExecClass::Load) + self.get(ExecClass::Store)
     }
-
-    /// Adds every class count of `other` (the fused block epilogue merges
-    /// a block's precomputed class profile in one pass).
-    pub fn merge(&mut self, other: &ClassCounts) {
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
-        }
-    }
 }
 
 impl fmt::Display for ClassCounts {
@@ -84,13 +76,6 @@ pub struct DeviceCounters {
     pub instructions: u64,
     /// Lane-instructions: issued instructions weighted by active lanes.
     pub lane_instructions: u64,
-    /// Instructions issued through the fused basic-block path (a subset
-    /// of [`instructions`](DeviceCounters::instructions); the remainder
-    /// went through the per-instruction fallback).
-    pub fused_instructions: u64,
-    /// Fused block dispatches (each covering ≥ 2 instructions), so
-    /// `fused_instructions / fused_blocks` is the mean fused run length.
-    pub fused_blocks: u64,
     /// Issue counts by functional class.
     pub classes: ClassCounts,
     /// Cycle at which the most recent run finished (including memory

@@ -592,17 +592,15 @@ mod batched_mem {
 }
 
 // ---------------------------------------------------------------------
-// Basic-block superinstruction engine (PR 6).
+// Straight-line runs and their seams.
 //
-// The programs below steer execution at the seams of the block engine:
-// an indirect jump landing in the middle of a fused block (no block
-// starts there, so the per-instruction fallback must take over), a
-// barrier splitting a straight-line run, memory ops isolating singleton
-// cells, and a dst==src dependence chain inside one block (the static
-// schedule must serialise it exactly like the scoreboard). Each program
-// is checked three ways on a raw device — traced vs untraced under
-// fusion, and fusion-on vs fusion-off (`set_block_fusion`) — plus an
-// absolute golden finish cycle.
+// The programs below steer execution across the edges of straight-line
+// arithmetic runs: an indirect jump landing in the middle of one, a
+// barrier splitting one, memory ops interleaved with arithmetic, and a
+// dst==src dependence chain (the scoreboard must serialise it on each
+// write-back). Each program is checked traced vs untraced on a raw
+// device, against its probed memory words, and against an absolute
+// golden finish cycle.
 // ---------------------------------------------------------------------
 
 mod blocks {
@@ -613,22 +611,19 @@ mod blocks {
 
     const BASE: u32 = 0x8000_0000;
 
-    /// Runs `build` on a fresh 1-core device three ways — untraced fused,
-    /// traced fused, untraced with fusion force-disabled — asserts every
-    /// observable fingerprint agrees, and returns the finish cycle, the
-    /// probed memory words, and the fused counters of the fused run.
+    /// Runs `build` on a fresh 1-core device untraced and traced,
+    /// asserts every observable fingerprint agrees, and returns the
+    /// finish cycle and the probed memory words.
     fn identical_runs(
         threads: usize,
         build: impl Fn(&mut Assembler),
         probe: &[u32],
-    ) -> (u64, Vec<u32>, u64, u64) {
-        #[allow(clippy::type_complexity)]
-        let run = |traced: bool, fuse: bool| -> (u64, u64, u64, Vec<u32>, u64, u64) {
+    ) -> (u64, Vec<u32>) {
+        let run = |traced: bool| -> (u64, u64, u64, Vec<u32>) {
             let mut a = Assembler::new(BASE);
             build(&mut a);
             let program = a.assemble().expect("assembles");
             let mut device = Device::new(DeviceConfig::with_topology(1, 2, threads));
-            device.set_block_fusion(fuse);
             device.load_program(&program);
             device.start_warp(0, program.entry());
             let finish = if traced {
@@ -640,44 +635,28 @@ mod blocks {
             let mem = device.memory();
             let words = probe.iter().map(|&addr| mem.read_u32(addr)).collect();
             let c = device.counters();
-            (
-                finish,
-                c.instructions,
-                c.lane_instructions,
-                words,
-                c.fused_instructions,
-                c.fused_blocks,
-            )
+            (finish, c.instructions, c.lane_instructions, words)
         };
-        let fused = run(false, true);
-        let traced = run(true, true);
-        assert_eq!(fused, traced, "traced vs untraced drift under fusion");
-        let unfused = run(false, false);
-        assert_eq!(
-            (fused.0, fused.1, fused.2, &fused.3),
-            (unfused.0, unfused.1, unfused.2, &unfused.3),
-            "fusion changed an observable outcome"
-        );
-        assert_eq!((unfused.4, unfused.5), (0, 0), "fusion counters moved while disabled");
-        (fused.0, fused.3, fused.4, fused.5)
+        let untraced = run(false);
+        assert_eq!(untraced, run(true), "traced vs untraced drift");
+        (untraced.0, untraced.3)
     }
 
-    /// An indirect jump (`jalr`) into the middle of a fused block: block
-    /// starts are static, so the landing pc has no block and the
-    /// per-instruction fallback must execute the tail — skipping exactly
-    /// the first two adds of the block after the call site.
+    /// An indirect jump (`jalr`) into the middle of a straight-line run:
+    /// execution resumes at the landing pc, skipping exactly the first
+    /// two adds of the run after the call site.
     #[test]
     fn jalr_into_mid_block_falls_back() {
-        let (finish, words, fused_instr, _) = identical_runs(
+        let (finish, words) = identical_runs(
             4,
             |a| {
                 let f = a.label("f");
-                // Fusable straight-line prologue (entered at its start).
+                // Straight-line prologue (entered at its start).
                 a.li(reg::T2, 0);
                 a.addi(reg::T4, reg::ZERO, 21);
                 a.add(reg::T4, reg::T4, reg::T4);
                 a.jal(reg::RA, f);
-                // Return lands here: one straight-line block until the sw.
+                // Return lands here: one straight-line run until the sw.
                 a.addi(reg::T2, reg::T2, 1); // skipped (ra + 0)
                 a.addi(reg::T2, reg::T2, 2); // skipped (ra + 4)
                 a.addi(reg::T2, reg::T2, 4); // jalr lands here (ra + 8)
@@ -686,29 +665,26 @@ mod blocks {
                 a.sw(reg::T2, 0, reg::T3);
                 a.vx_tmc(reg::ZERO);
                 a.bind(f).expect("fresh");
-                a.jalr(reg::ZERO, reg::RA, 8); // mid-block entry
+                a.jalr(reg::ZERO, reg::RA, 8); // mid-run entry
             },
             &[0x1000],
         );
         // Only the last two adds ran: 4 + 8.
         assert_eq!(words, vec![12]);
-        assert!(fused_instr > 0, "straight-line tail should still fuse");
         assert_eq!(finish, GOLDEN_JALR_MID_BLOCK, "jalr mid-block golden cycle drift");
     }
 
-    /// A barrier splits a straight-line run into separate blocks: the
-    /// arithmetic on both sides fuses, the barrier itself never does.
+    /// A barrier in the middle of a straight-line run.
     #[test]
     fn barrier_splits_blocks() {
-        let (finish, words, fused_instr, fused_blocks) = identical_runs(
+        let (finish, words) = identical_runs(
             4,
             |a| {
                 a.csrr(reg::T0, vortex_isa::csrs::THREAD_ID);
                 a.addi(reg::T1, reg::T0, 3);
                 a.slli(reg::T2, reg::T1, 1);
                 a.add(reg::T2, reg::T2, reg::T0);
-                // One-party barrier: releases immediately, but cuts the
-                // block structure around itself.
+                // One-party barrier: releases immediately.
                 a.li(reg::T3, 0);
                 a.li(reg::T4, 1);
                 a.vx_bar(reg::T3, reg::T4);
@@ -727,17 +703,14 @@ mod blocks {
         let expect: Vec<u32> =
             (0..4u32).map(|t| ((3 * t + 6) ^ 5).wrapping_sub(t) + (3 * t + 6)).collect();
         assert_eq!(words, expect);
-        assert!(fused_blocks >= 2, "both sides of the barrier should fuse");
-        assert!(fused_instr >= 6, "arithmetic around the barrier should fuse");
         assert_eq!(finish, GOLDEN_BARRIER_SPLIT, "barrier-split golden cycle drift");
     }
 
-    /// Memory ops are singleton cells: an alu/load/alu/store sandwich
-    /// fuses only the arithmetic runs, and the loads/stores go down the
-    /// ordinary memory pipeline unchanged.
+    /// An alu/store/load/alu/store sandwich: the memory ops interleave
+    /// with the arithmetic runs through the ordinary memory pipeline.
     #[test]
     fn memory_ops_stay_singleton_blocks() {
-        let (finish, words, fused_instr, _) = identical_runs(
+        let (finish, words) = identical_runs(
             8,
             |a| {
                 a.csrr(reg::T0, vortex_isa::csrs::THREAD_ID);
@@ -745,27 +718,25 @@ mod blocks {
                 a.li_u32(reg::T2, 0x3000);
                 a.add(reg::T1, reg::T1, reg::T2);
                 a.addi(reg::T3, reg::T0, 7);
-                a.sw(reg::T3, 0, reg::T1); // singleton cell
-                a.lw(reg::T4, 0, reg::T1); // singleton cell
+                a.sw(reg::T3, 0, reg::T1);
+                a.lw(reg::T4, 0, reg::T1);
                 a.slli(reg::T4, reg::T4, 1);
                 a.addi(reg::T4, reg::T4, 1);
-                a.sw(reg::T4, 0x100, reg::T1); // singleton cell
+                a.sw(reg::T4, 0x100, reg::T1);
                 a.vx_tmc(reg::ZERO);
             },
             &[0x3100, 0x3104, 0x311C],
         );
         // out = 2*(tid+7)+1.
         assert_eq!(words, vec![15, 17, 29]);
-        assert!(fused_instr > 0, "the arithmetic runs should fuse");
         assert_eq!(finish, GOLDEN_MEM_SINGLETON, "mem-singleton golden cycle drift");
     }
 
-    /// A dst==src dependence chain inside one block: the static schedule
-    /// must serialise each step on the previous write-back exactly as the
-    /// scoreboard would, including the multiply latency in the middle.
+    /// A dst==src dependence chain: each step serialises on the previous
+    /// write-back, including the multiply latency in the middle.
     #[test]
     fn dst_eq_src_chain_schedules_exactly() {
-        let (finish, words, fused_instr, fused_blocks) = identical_runs(
+        let (finish, words) = identical_runs(
             4,
             |a| {
                 a.csrr(reg::T0, vortex_isa::csrs::THREAD_ID);
@@ -783,7 +754,6 @@ mod blocks {
         );
         // out = (2*(tid+2))^2 + 1.
         assert_eq!(words, vec![17, 37, 65, 101]);
-        assert!(fused_blocks >= 1 && fused_instr >= 5, "the chain should fuse as one block");
         assert_eq!(finish, GOLDEN_DST_SRC_CHAIN, "dst==src chain golden cycle drift");
     }
 
