@@ -133,8 +133,7 @@ pub fn digest_program(program: &Program) -> u64 {
 pub fn digest_device_config(config: &DeviceConfig) -> u64 {
     let DeviceConfig { cores, warps, threads, timing, mem, ipdom_depth, cores_per_cluster } =
         config;
-    let TimingConfig { alu, mul, div, fpu, fdiv, fsqrt, branch_bubble, simt, wspawn, barrier } =
-        timing;
+    let TimingConfig { alu, mul, div, fpu, fdiv, fsqrt, branch_bubble, wspawn, barrier } = timing;
     let MemConfig { l1, l1_banks, l2, l2_banks, l1_latency, l2_latency, l2_interval, dram } = mem;
     let DramConfig { latency: dram_latency, interval: dram_interval, channels } = dram;
 
@@ -145,7 +144,13 @@ pub fn digest_device_config(config: &DeviceConfig) -> u64 {
     h.write_usize(*threads);
     h.write_usize(*ipdom_depth);
     // Pipeline timing.
-    for v in [alu, mul, div, fpu, fdiv, fsqrt, branch_bubble, simt, wspawn, barrier] {
+    for v in [alu, mul, div, fpu, fdiv, fsqrt, branch_bubble] {
+        h.write_u64(*v);
+    }
+    // The removed `simt` latency (read by nothing, always 1); the constant
+    // keeps keys written before the removal valid.
+    h.write_u64(1);
+    for v in [wspawn, barrier] {
         h.write_u64(*v);
     }
     // Memory hierarchy: both cache geometries, field by field.
@@ -274,7 +279,7 @@ mod tests {
                 )*
             };
         }
-        timing_variant!(alu, mul, div, fpu, fdiv, fsqrt, branch_bubble, simt, wspawn, barrier);
+        timing_variant!(alu, mul, div, fpu, fdiv, fsqrt, branch_bubble, wspawn, barrier);
 
         let mut v = base;
         v.mem.l1.size_bytes *= 2;

@@ -357,6 +357,58 @@ impl Runtime {
         params: &LaunchParams,
         trace: Option<&mut S>,
     ) -> Result<LaunchReport, LaunchError> {
+        self.launch_inner(params, true, |device, limit| {
+            device.run_with(limit, trace)?;
+            Ok(())
+        })
+    }
+
+    /// [`launch`](Runtime::launch) in **replay** mode: the launch's
+    /// value-dependent outcomes are consumed from `rec` (recorded over
+    /// the same program, data and `(gws, lws)` by a
+    /// [`TraceRecorder`](vortex_sim::TraceRecorder)) instead of executed.
+    /// Plan resolution, dispatch overhead and warp start run exactly as
+    /// in execute mode, so the report is bit-identical; the dispatch
+    /// blocks are *not* written to device memory — replay never reads
+    /// memory, the in-kernel dispatch loads were recorded like any other
+    /// access.
+    ///
+    /// `cursor` must come from [`LaunchRecord::cursor`] on `rec`; the
+    /// launch fails with [`SimError::ReplayIncomplete`] if it halts
+    /// without consuming the whole record.
+    ///
+    /// # Errors
+    ///
+    /// As for [`launch`](Runtime::launch), plus
+    /// [`SimError::ReplayDiverged`] / [`SimError::ReplayIncomplete`]
+    /// (via [`LaunchError::Sim`]) when the trace does not match the run.
+    pub fn launch_replay<S: TraceSink + ?Sized>(
+        &mut self,
+        params: &LaunchParams,
+        trace: Option<&mut S>,
+        rec: &LaunchRecord,
+        cursor: &mut ReplayCursor,
+    ) -> Result<LaunchReport, LaunchError> {
+        self.launch_inner(params, false, |device, limit| {
+            device.run_replay(limit, trace, rec, cursor)?;
+            let leftover = rec.leftover(cursor);
+            if leftover != 0 {
+                return Err(LaunchError::Sim(SimError::ReplayIncomplete { leftover }));
+            }
+            Ok(())
+        })
+    }
+
+    /// The launch body both modes share: entry resolution, the `gws`
+    /// check, the plan-cache lookup, optionally writing the dispatch
+    /// blocks, the dispatch overhead, warp start, `run` up to the cycle
+    /// limit, and the report.
+    fn launch_inner(
+        &mut self,
+        params: &LaunchParams,
+        write_blocks: bool,
+        run: impl FnOnce(&mut Device, Cycle) -> Result<(), LaunchError>,
+    ) -> Result<LaunchReport, LaunchError> {
         let entry = match params.entry {
             Some(addr) => {
                 if self.entry.is_none() {
@@ -391,86 +443,19 @@ impl Runtime {
         // call — a per-launch cost on exactly the path this cache
         // exists to strip), then pays the dispatch latency and starts
         // the plan's warp-0 set.
-        let mem = device.memory_mut();
-        for i in 0..plan.active_cores() {
-            let (addr, words) = plan.core_block(i);
-            for (j, &word) in words.iter().enumerate() {
-                mem.write_u32(addr + 4 * j as u32, word);
-            }
-        }
-        device.advance_time(self.dispatch_overhead);
-
-        device.start_warps(plan.starts(), entry);
-        let limit = start_cycle + params.max_cycles;
-        device.run_with(limit, trace)?;
-
-        let end = device.counters();
-        Ok(plan.report(device.now() - start_cycle, end.instructions - start.instructions))
-    }
-
-    /// [`launch`](Runtime::launch) in **replay** mode: the launch's
-    /// value-dependent outcomes are consumed from `rec` (recorded over
-    /// the same program, data and `(gws, lws)` by a
-    /// [`TraceRecorder`](vortex_sim::TraceRecorder)) instead of executed.
-    /// Plan resolution, dispatch overhead and warp start run exactly as
-    /// in execute mode, so the report is bit-identical; the dispatch
-    /// blocks are *not* written to device memory — replay never reads
-    /// memory, the in-kernel dispatch loads were recorded like any other
-    /// access.
-    ///
-    /// `cursor` must come from [`LaunchRecord::cursor`] on `rec`; the
-    /// launch fails with [`SimError::ReplayIncomplete`] if it halts
-    /// without consuming the whole record.
-    ///
-    /// # Errors
-    ///
-    /// As for [`launch`](Runtime::launch), plus
-    /// [`SimError::ReplayDiverged`] / [`SimError::ReplayIncomplete`]
-    /// (via [`LaunchError::Sim`]) when the trace does not match the run.
-    pub fn launch_replay<S: TraceSink + ?Sized>(
-        &mut self,
-        params: &LaunchParams,
-        trace: Option<&mut S>,
-        rec: &LaunchRecord,
-        cursor: &mut ReplayCursor,
-    ) -> Result<LaunchReport, LaunchError> {
-        let entry = match params.entry {
-            Some(addr) => {
-                if self.entry.is_none() {
-                    return Err(LaunchError::NoProgram);
+        if write_blocks {
+            let mem = device.memory_mut();
+            for i in 0..plan.active_cores() {
+                let (addr, words) = plan.core_block(i);
+                for (j, &word) in words.iter().enumerate() {
+                    mem.write_u32(addr + 4 * j as u32, word);
                 }
-                addr
             }
-            None => self.entry.ok_or(LaunchError::NoProgram)?,
-        };
-        if params.gws == 0 {
-            return Err(LaunchError::InvalidParams { reason: "gws must be positive".into() });
         }
-        let config = *self.device.config();
-        let lws = params.policy.lws_for(params.gws, &config);
-        let plan = match self.plans.entry((params.gws, lws)) {
-            Entry::Occupied(e) => {
-                self.plan_hits += 1;
-                e.into_mut()
-            }
-            Entry::Vacant(v) => {
-                self.plan_misses += 1;
-                v.insert(LaunchPlan::compile(params.gws, lws, &config))
-            }
-        };
-        let device = &mut self.device;
-
-        let start_cycle = device.now();
-        let start = *device.counters();
-
         device.advance_time(self.dispatch_overhead);
+
         device.start_warps(plan.starts(), entry);
-        let limit = start_cycle + params.max_cycles;
-        device.run_replay(limit, trace, rec, cursor)?;
-        let leftover = rec.leftover(cursor);
-        if leftover != 0 {
-            return Err(LaunchError::Sim(SimError::ReplayIncomplete { leftover }));
-        }
+        run(device, start_cycle + params.max_cycles)?;
 
         let end = device.counters();
         Ok(plan.report(device.now() - start_cycle, end.instructions - start.instructions))

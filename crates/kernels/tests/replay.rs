@@ -5,9 +5,9 @@
 use vortex_core::{LwsPolicy, Runtime};
 use vortex_kernels::{
     record_kernel_prepared, replay_kernel_prepared, replay_kernel_traced, run_kernel_prepared,
-    Kernel, Reduce, RunOutcome, Saxpy,
+    sweep_kernels, Kernel, Reduce, RunOutcome, Saxpy,
 };
-use vortex_sim::{DeviceConfig, RecordedTrace, TraceRecorder};
+use vortex_sim::{DeviceConfig, RecordedTrace, TimingConfig, TraceRecorder};
 
 /// The whole observable outcome, as the probe would print it.
 fn fingerprint(o: &RunOutcome) -> String {
@@ -61,27 +61,45 @@ fn barrier_kernel_trace_replays_bit_identically() {
     assert_eq!(fingerprint(&executed), fingerprint(&replayed));
 }
 
+/// Kernels whose recordings read a timing CSR: a tainted trace is only
+/// valid for the configuration that recorded it, so it is not re-timed.
+const TAINTED: &[&str] = &[];
+
 #[test]
 fn replay_retimes_under_a_different_timing_model() {
     // The engine's purpose: one recording drives many timing configs.
     // Replaying under altered latencies must equal *executing* under
-    // those latencies.
+    // those latencies. Every latency is distinct from every other and
+    // from its default, so no two latency classes time alike.
     let base = DeviceConfig::with_topology(2, 2, 4);
     let mut slow = base;
-    slow.timing.mul = 9;
-    slow.timing.fpu = 11;
-    slow.timing.branch_bubble = 5;
+    slow.timing = TimingConfig {
+        alu: 2,
+        mul: 5,
+        div: 17,
+        fpu: 7,
+        fdiv: 19,
+        fsqrt: 23,
+        branch_bubble: 3,
+        wspawn: 11,
+        barrier: 13,
+    };
     slow.mem.l2_latency += 7;
 
-    let mut k = Saxpy::new(256);
-    let (_, rec) = record(&mut k, &base, LwsPolicy::Auto);
-
-    let program = k.build().unwrap();
-    let mut rt = Runtime::new(slow);
-    rt.load_program(&program);
-    let executed = run_kernel_prepared(&mut k, &program, &mut rt, LwsPolicy::Auto).unwrap();
-    let replayed = replay(&mut k, &slow, LwsPolicy::Auto, &rec);
-    assert_eq!(fingerprint(&executed), fingerprint(&replayed));
+    for mut k in sweep_kernels() {
+        let k = k.as_mut();
+        let (_, rec) = record(k, &base, LwsPolicy::Auto);
+        assert_eq!(rec.tainted, TAINTED.contains(&k.name()), "{}", k.name());
+        if rec.tainted {
+            continue;
+        }
+        let program = k.build().unwrap();
+        let mut rt = Runtime::new(slow);
+        rt.load_program(&program);
+        let executed = run_kernel_prepared(k, &program, &mut rt, LwsPolicy::Auto).unwrap();
+        let replayed = replay(k, &slow, LwsPolicy::Auto, &rec);
+        assert_eq!(fingerprint(&executed), fingerprint(&replayed), "{}", k.name());
+    }
 }
 
 #[test]

@@ -11,13 +11,14 @@ use vortex_mem::MemConfig;
 /// dependent instruction issued at `t + L` (full bypass).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TimingConfig {
-    /// Integer ALU / CSR / LUI latency.
+    /// Integer ALU latency (also `lui`/`auipc`, link registers, CSR reads
+    /// and `vote`).
     pub alu: u64,
     /// Integer multiply latency.
     pub mul: u64,
     /// Integer divide/remainder latency.
     pub div: u64,
-    /// Pipelined FPU latency (add/mul/FMA/convert/compare).
+    /// Pipelined FPU latency (add/mul/FMA/convert/compare/move/classify).
     pub fpu: u64,
     /// Floating divide latency.
     pub fdiv: u64,
@@ -26,8 +27,6 @@ pub struct TimingConfig {
     /// Extra cycles before the *same warp* can issue after a taken
     /// control transfer (front-end refill bubble).
     pub branch_bubble: u64,
-    /// SIMT control op latency (tmc/split/join/vote).
-    pub simt: u64,
     /// Cycles before a spawned warp may issue its first instruction.
     pub wspawn: u64,
     /// Cycles between barrier release and first issue of released warps.
@@ -44,7 +43,6 @@ impl Default for TimingConfig {
             fdiv: 16,
             fsqrt: 20,
             branch_bubble: 2,
-            simt: 1,
             wspawn: 16,
             barrier: 4,
         }

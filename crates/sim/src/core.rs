@@ -1,6 +1,17 @@
 //! One SIMT core: warp scheduling, hazard checking and instruction
 //! execution.
 //!
+//! Every issue is split in two. A *frontend* decides what the
+//! instruction did — next PC and thread mask, memory footprint, and any
+//! halt, wspawn or barrier — as an [`Effects`] value: [`Core::execute`]
+//! computes it with row kernels and functional memory, [`Core::replay`]
+//! reads it from a recorded [`WarpEvent`] stream. A single timing
+//! *backend*, [`Core::retire`], then applies the scoreboard write-back
+//! (its latency class decoded once per instruction, see
+//! [`WriteBack`]), memory timing, the sync ops and the control gap, and
+//! hands the warp event to a recording sink. The timing rules therefore
+//! exist once, whichever frontend ran.
+//!
 //! The execute loops are written against the core-owned lane-major
 //! register file ([`RegFile`]): each opcode arm materialises its source
 //! rows (a contiguous `threads`-word copy into a stack buffer, which also
@@ -12,14 +23,12 @@
 
 use std::collections::HashMap;
 
-use vortex_isa::{
-    csrs, AluImmOp, AluOp, Csr, ExecClass, FpBinOp, Instr, LoadWidth, StoreWidth, VoteOp,
-};
+use vortex_isa::{csrs, AluImmOp, AluOp, Csr, ExecClass, Instr, LoadWidth, StoreWidth, VoteOp};
 use vortex_mem::{coalesce_lines, Cycle, MainMemory, MemSystem};
 
 use crate::config::TimingConfig;
 use crate::counters::DeviceCounters;
-use crate::decoded::{DecodedInstr, InstrMeta};
+use crate::decoded::{records_event, DecodedInstr, InstrMeta, WriteBack};
 use crate::error::SimError;
 use crate::exec::span::{self, Span};
 use crate::exec::tables;
@@ -33,14 +42,17 @@ use crate::warp::{WarpState, NEVER};
 ///
 /// Generic over the trace sink so untraced runs (`S = NullSink`) are
 /// monomorphised with the trace hook compiled away entirely — no virtual
-/// dispatch on the per-instruction hot path.
-pub(crate) struct CoreCtx<'a, S: TraceSink + ?Sized> {
+/// dispatch on the per-instruction hot path — and likewise over the
+/// issue [`Frontend`].
+pub(crate) struct CoreCtx<'a, S: TraceSink + ?Sized, F: Frontend> {
     /// The loaded program with its decode cache, one entry per slot.
     pub code: &'a [DecodedInstr],
     pub code_base: u32,
     pub mem: &'a mut MainMemory,
     pub memsys: &'a mut MemSystem,
     pub timing: &'a TimingConfig,
+    /// [`WriteBack::latencies`] of `timing`.
+    pub wb_latency: [Cycle; 8],
     pub num_cores: usize,
     pub ipdom_depth: usize,
     pub counters: &'a mut DeviceCounters,
@@ -49,16 +61,141 @@ pub(crate) struct CoreCtx<'a, S: TraceSink + ?Sized> {
     pub horizon: &'a mut Cycle,
     /// Cache-line size (hoisted from the memory system once per run).
     pub line_bytes: u32,
-    /// When set, the run is a *replay*: [`Core::issue`] consumes recorded
-    /// [`WarpEvent`]s instead of executing row kernels — scheduling,
-    /// hazards and memory-system timing run unchanged off trace-visible
-    /// data, so cycles and counters are bit-identical to execute mode.
-    pub replay: Option<ReplayCtx<'a>>,
+    /// Where each issue's [`Effects`] come from: [`Execute`] runs the
+    /// instruction, a [`ReplayCtx`] reads the recorded [`WarpEvent`]s.
+    /// The timing backend is the same for both, so a replay's cycles and
+    /// counters are bit-identical to execute mode.
+    pub frontend: F,
+}
+
+/// The frontend of an issue: decides what an instruction did. Runs are
+/// monomorphised per frontend, as they are per sink, so the mode choice
+/// costs nothing per issue.
+pub(crate) trait Frontend: Sized {
+    fn effects<S: TraceSink + ?Sized>(
+        core: &mut Core,
+        w: usize,
+        instr: Instr,
+        meta: &InstrMeta,
+        now: Cycle,
+        ctx: &mut CoreCtx<'_, S, Self>,
+    ) -> Result<Effects, SimError>;
+}
+
+/// The execute frontend (see [`Core::execute`]).
+pub(crate) struct Execute;
+
+impl Frontend for Execute {
+    #[inline]
+    fn effects<S: TraceSink + ?Sized>(
+        core: &mut Core,
+        w: usize,
+        instr: Instr,
+        _meta: &InstrMeta,
+        now: Cycle,
+        ctx: &mut CoreCtx<'_, S, Self>,
+    ) -> Result<Effects, SimError> {
+        core.execute(w, instr, now, ctx)
+    }
+}
+
+/// The replay frontend (see [`Core::replay`]).
+impl Frontend for ReplayCtx<'_> {
+    #[inline]
+    fn effects<S: TraceSink + ?Sized>(
+        core: &mut Core,
+        w: usize,
+        instr: Instr,
+        meta: &InstrMeta,
+        _now: Cycle,
+        ctx: &mut CoreCtx<'_, S, Self>,
+    ) -> Result<Effects, SimError> {
+        core.replay(w, instr, meta, &mut ctx.frontend)
+    }
 }
 
 #[derive(Debug, Default)]
 struct BarrierState {
     arrived: Vec<usize>,
+}
+
+/// What one issued instruction did, as the timing backend
+/// ([`Core::retire`]) needs it — the [`WarpEvent`] vocabulary in
+/// fixed-size form. The execute frontend computes it; the replay
+/// frontend reads it from the recorded stream.
+pub(crate) struct Effects {
+    /// The warp's PC after the instruction.
+    next_pc: u32,
+    /// The warp's thread mask after the instruction.
+    tmask: u32,
+    mem: MemFootprint,
+    sync: SyncOp,
+}
+
+impl Effects {
+    /// An instruction that falls through and leaves the mask alone.
+    fn fall_through(pc: u32, tmask: u32) -> Self {
+        Effects { next_pc: pc.wrapping_add(4), tmask, mem: MemFootprint::None, sync: SyncOp::None }
+    }
+
+    /// The warp event a recording sink receives for a value-dependent
+    /// instruction (`lanes` is the core's lane-address row).
+    fn event(&self, lanes: &[u32; 32]) -> WarpEvent {
+        match self.mem {
+            MemFootprint::Span { addr0, last, store } => {
+                return WarpEvent::MemSpan { addr0, last, store };
+            }
+            MemFootprint::Lanes { mask, store } => {
+                // Pre-coalescing lane addresses in lane order: replay
+                // re-coalesces against its own line size, so the trace
+                // stays valid across cache geometries.
+                let addrs = lane_indices(mask).map(|l| lanes[l]).collect();
+                return WarpEvent::MemLanes { addrs, store };
+            }
+            MemFootprint::None => {}
+        }
+        match self.sync {
+            SyncOp::None => WarpEvent::Ctl { next_pc: self.next_pc, tmask: self.tmask },
+            SyncOp::Halt => WarpEvent::Halt,
+            SyncOp::Wspawn { count, target } => WarpEvent::Wspawn { count, target },
+            SyncOp::Bar { id, count } => WarpEvent::Bar { id, count },
+        }
+    }
+}
+
+/// The memory access of one instruction, if any.
+pub(crate) enum MemFootprint {
+    None,
+    /// A contiguous ascending span of lane addresses `addr0..=last` (the
+    /// broadcast and unit-stride fast paths).
+    Span {
+        addr0: u32,
+        last: u32,
+        store: bool,
+    },
+    /// A general gather/scatter: the core's lane-address row
+    /// ([`Core::lanes`]) at each set bit of `mask`, in ascending order.
+    Lanes {
+        mask: u32,
+        store: bool,
+    },
+}
+
+/// The warp-synchronisation effect of one instruction, if any.
+pub(crate) enum SyncOp {
+    None,
+    /// `vx_tmc` to an empty mask.
+    Halt,
+    /// `vx_wspawn`: start warps `1..count` at `target`.
+    Wspawn {
+        count: u32,
+        target: u32,
+    },
+    /// `vx_bar`: arrive at barrier `id`, released at `count` arrivals.
+    Bar {
+        id: u32,
+        count: u32,
+    },
 }
 
 /// The outcome of running a core up to an event horizon.
@@ -125,6 +262,11 @@ pub(crate) struct Core {
     warp_next: Vec<Cycle>,
     /// Per-warp pre-fetched next instruction and its hazard time.
     next_issue: Vec<NextIssue>,
+    /// Lane-address row of the issuing instruction's gather/scatter
+    /// ([`MemFootprint::Lanes`]): written by the frontend, read by the
+    /// timing backend. Execute fills the active lanes' slots; replay
+    /// packs the recorded addresses into the low slots.
+    lanes: [u32; 32],
     /// Whether any warp was ever started since the last reset. An
     /// untouched core holds only default state, so [`Core::reset`] can
     /// skip it entirely — device resets stay O(touched cores), not
@@ -143,6 +285,7 @@ impl Core {
             mem_port_free: 0,
             warp_next: vec![NEVER; warps],
             next_issue: vec![NextIssue::INVALID; warps],
+            lanes: [0; 32],
             touched: false,
         }
     }
@@ -208,10 +351,10 @@ impl Core {
         true
     }
 
-    fn fetch<S: TraceSink + ?Sized>(
+    fn fetch<S: TraceSink + ?Sized, F: Frontend>(
         &self,
         w: usize,
-        ctx: &CoreCtx<'_, S>,
+        ctx: &CoreCtx<'_, S, F>,
     ) -> Result<(Instr, InstrMeta), SimError> {
         let pc = self.warps[w].pc;
         if pc < ctx.code_base || !pc.is_multiple_of(4) {
@@ -250,10 +393,10 @@ impl Core {
     /// The warp's fetched-and-hazard-checked next instruction, from the
     /// cache when the warp's PC still matches, fetched on demand
     /// otherwise. Returns the instruction and its earliest issue cycle.
-    fn next_for<S: TraceSink + ?Sized>(
+    fn next_for<S: TraceSink + ?Sized, F: Frontend>(
         &mut self,
         w: usize,
-        ctx: &CoreCtx<'_, S>,
+        ctx: &CoreCtx<'_, S, F>,
     ) -> Result<(Instr, InstrMeta, Cycle), SimError> {
         let cached = self.next_issue[w];
         if cached.valid && cached.pc == self.warps[w].pc {
@@ -280,7 +423,11 @@ impl Core {
     /// step), and a `max_cycles` limit falling inside that gap yields
     /// `CycleLimit` instead of the fetch fault. Only failing programs are
     /// affected; successful runs are cycle-for-cycle identical.
-    fn refresh_after_issue<S: TraceSink + ?Sized>(&mut self, w: usize, ctx: &CoreCtx<'_, S>) {
+    fn refresh_after_issue<S: TraceSink + ?Sized, F: Frontend>(
+        &mut self,
+        w: usize,
+        ctx: &CoreCtx<'_, S, F>,
+    ) {
         if !self.warps[w].schedulable() {
             return;
         }
@@ -316,12 +463,12 @@ impl Core {
     /// [`warp_next`](Core::warp_next) bound lies in the future are
     /// skipped with a single `u64` compare, and at most one instruction
     /// issues per cycle (in-order SIMT pipe).
-    pub fn run_until<S: TraceSink + ?Sized>(
+    pub fn run_until<S: TraceSink + ?Sized, F: Frontend>(
         &mut self,
         start: Cycle,
         horizon: Cycle,
         clock: &mut Cycle,
-        ctx: &mut CoreCtx<'_, S>,
+        ctx: &mut CoreCtx<'_, S, F>,
     ) -> Result<CoreOutcome, SimError> {
         let n = self.warps.len();
         let mut now = start;
@@ -391,87 +538,60 @@ impl Core {
         }
     }
 
-    /// Executes `instr` for warp `w` at cycle `now`.
-    fn issue<S: TraceSink + ?Sized>(
+    /// Issues `instr` for warp `w` at cycle `now` in three steps: the
+    /// shared prologue (counters, `on_issue`), a frontend that decides
+    /// what the instruction did — [`Core::execute`] by running it,
+    /// [`Core::replay`] by reading the warp's next recorded event — and
+    /// the one timing backend, [`Core::retire`], that times the outcome.
+    fn issue<S: TraceSink + ?Sized, F: Frontend>(
         &mut self,
         w: usize,
         instr: Instr,
         meta: &InstrMeta,
         now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
+        ctx: &mut CoreCtx<'_, S, F>,
     ) -> Result<(), SimError> {
-        // A replay run consumes recorded outcomes instead of executing
-        // row kernels; the twin issues with identical timing.
-        if ctx.replay.is_some() {
-            return self.issue_replay(w, instr, meta, now, ctx);
-        }
         let pc = self.warps[w].pc;
         let tmask = self.warps[w].tmask;
-        // Whether every lane participates: selects the branch-free
-        // contiguous row loops over the masked set-bit walks.
-        let full = tmask == self.warps[w].full_mask();
-
         ctx.counters.instructions += 1;
         ctx.counters.lane_instructions += u64::from(tmask.count_ones());
         ctx.counters.classes.record(meta.class);
         if let Some(sink) = ctx.trace.as_mut() {
             sink.on_issue(&IssueEvent { cycle: now, core: self.id, warp: w, pc, tmask, instr });
         }
+        let eff = F::effects(self, w, instr, meta, now, ctx)?;
+        self.retire(w, instr, meta, &eff, now, ctx)
+    }
 
-        let timing = ctx.timing;
-        let mut next_pc = pc.wrapping_add(4);
-        let mut halted = false;
+    /// The execute frontend: runs `instr`'s row kernels and functional
+    /// memory traffic with every architectural fault check, and returns
+    /// what the timing backend needs to know about the outcome.
+    #[inline]
+    fn execute<S: TraceSink + ?Sized, F: Frontend>(
+        &mut self,
+        w: usize,
+        instr: Instr,
+        now: Cycle,
+        ctx: &mut CoreCtx<'_, S, F>,
+    ) -> Result<Effects, SimError> {
+        let pc = self.warps[w].pc;
+        let tmask = self.warps[w].tmask;
+        // Whether every lane participates: selects the branch-free
+        // contiguous row loops over the masked set-bit walks.
+        let full = tmask == self.warps[w].full_mask();
+        let mut eff = Effects::fall_through(pc, tmask);
 
-        // Walks the active lanes of `tmask` (cost scales with set bits,
-        // not the warp width).
-        macro_rules! for_lanes {
-            (|$l:ident| $body:expr) => {{
-                let mut m = tmask;
-                while m != 0 {
-                    let $l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    $body
-                }
-            }};
-        }
-        // Fills the destination row `$dense` with `$val` (an expression of
-        // the lane index): a contiguous pass under a full mask, a set-bit
-        // walk otherwise. `$val` must not touch `self` — sources are
-        // snapshot into stack buffers first (`RegFile::copy_row`).
-        macro_rules! write_row {
-            ($dense:expr, |$l:ident| $val:expr) => {{
-                let dst = self.rf.row_mut(w, $dense);
-                if full {
-                    for $l in 0..dst.len() {
-                        dst[$l] = $val;
-                    }
-                } else {
-                    for_lanes!(|$l| dst[$l] = $val);
-                }
-            }};
-        }
         // The row-kernel application paths (broadcast, binary, immediate,
         // unary, FMA, div/rem strength reduction) are shared methods —
         // `broadcast_k`, `run_bin_k`, … — called from several arms each.
-        macro_rules! wb_int {
-            ($rd:expr, $lat:expr) => {{
-                if !$rd.is_zero() {
-                    self.rf.set_busy(w, $rd.num() as usize, now + $lat);
-                }
-            }};
-        }
-        macro_rules! wb_fp {
-            ($rd:expr, $lat:expr) => {{
-                self.rf.set_busy(w, FP_BASE + $rd.num() as usize, now + $lat);
-            }};
-        }
+        // No arm times anything: write-back latencies, memory timing and
+        // the sync ops are applied by `retire`.
 
         match instr {
             Instr::Lui { rd, imm } => {
                 if !rd.is_zero() {
                     self.broadcast_k(w, full, tmask, rd.num() as usize, imm as u32);
                 }
-                wb_int!(rd, timing.alu);
             }
             Instr::Auipc { rd, imm } => {
                 if !rd.is_zero() {
@@ -483,22 +603,19 @@ impl Core {
                         pc.wrapping_add(imm as u32),
                     );
                 }
-                wb_int!(rd, timing.alu);
             }
             Instr::Jal { rd, offset } => {
                 if !rd.is_zero() {
                     self.broadcast_k(w, full, tmask, rd.num() as usize, pc.wrapping_add(4));
                 }
-                wb_int!(rd, timing.alu);
-                next_pc = pc.wrapping_add(offset as u32);
+                eff.next_pc = pc.wrapping_add(offset as u32);
             }
             Instr::Jalr { rd, rs1, offset } => {
                 let base = self.uniform(w, rs1, pc)?;
                 if !rd.is_zero() {
                     self.broadcast_k(w, full, tmask, rd.num() as usize, pc.wrapping_add(4));
                 }
-                wb_int!(rd, timing.alu);
-                next_pc = base.wrapping_add(offset as u32) & !1;
+                eff.next_pc = base.wrapping_add(offset as u32) & !1;
             }
             Instr::Branch { op, rs1, rs2, offset } => {
                 let ra = self.rf.row(w, rs1.num() as usize);
@@ -509,101 +626,17 @@ impl Core {
                     if ballot != tmask {
                         return Err(SimError::DivergentBranch { core: self.id, warp: w, pc });
                     }
-                    next_pc = pc.wrapping_add(offset as u32);
+                    eff.next_pc = pc.wrapping_add(offset as u32);
                 }
             }
-            Instr::Load { width, rd, rs1, offset } => 'load: {
-                let (bytes, _) = load_width_bytes(width);
-                let mut addrs = [0u32; 32];
-                // Full-mask word-load fast paths for the two dominant SIMT
-                // shapes — broadcast and unit-stride — via the shared
-                // helper (see [`Core::fast_word_load`]). Only this path
-                // snapshots the base row (the helper needs `&mut self`).
-                if full && !rd.is_zero() && matches!(width, LoadWidth::Word) {
-                    let mut base = [0u32; 32];
-                    let _ = self.rf.copy_row(w, rs1.num() as usize, &mut base);
-                    if self.fast_word_load(w, rd.num() as usize, &base, offset, pc, now, ctx)? {
-                        break 'load;
-                    }
-                }
-                // General paths read the base row in place: every active
-                // lane's address is validated first (fault on the lowest
-                // bad lane, as the fused loop did), which also ends the
-                // row borrow before the destination row is taken.
-                {
-                    let base = self.rf.row(w, rs1.num() as usize);
-                    for_lanes!(|l| {
-                        let addr = base[l].wrapping_add(offset as u32);
-                        if addr & (bytes - 1) != 0 {
-                            return Err(SimError::MisalignedAccess { pc, addr, align: bytes });
-                        }
-                        addrs[l] = addr;
-                    });
-                }
-                if rd.is_zero() {
-                    // Address fault/timing only; x0 swallows the values.
-                } else if matches!(width, LoadWidth::Word) {
-                    // Masked/strided word gather: batch the functional
-                    // reads page run by page run instead of one page walk
-                    // per lane.
-                    let dst = self.rf.row_mut(w, rd.num() as usize);
-                    ctx.mem.read_u32_gather(&addrs, tmask, dst);
-                } else {
-                    let dst = self.rf.row_mut(w, rd.num() as usize);
-                    for_lanes!(|l| {
-                        let addr = addrs[l];
-                        dst[l] = match width {
-                            LoadWidth::Byte => ctx.mem.read_u8(addr) as i8 as i32 as u32,
-                            LoadWidth::ByteU => ctx.mem.read_u8(addr) as u32,
-                            LoadWidth::Half => ctx.mem.read_u16(addr) as i16 as i32 as u32,
-                            LoadWidth::HalfU => ctx.mem.read_u16(addr) as u32,
-                            LoadWidth::Word => ctx.mem.read_u32(addr),
-                        };
-                    });
-                }
-                let completion = self.memory_access(w, &addrs, tmask, false, now, ctx);
-                if !rd.is_zero() {
-                    self.rf.set_busy(w, rd.num() as usize, completion);
-                }
+            Instr::Load { width, rd, rs1, offset } => {
+                let (d, base) = (rd.num() as usize, rs1.num() as usize);
+                eff.mem = self.exec_load(w, full, tmask, width, d, base, offset, pc, ctx.mem)?;
             }
-            Instr::Store { width, rs2, rs1, offset } => 'store: {
-                let bytes = match width {
-                    StoreWidth::Byte => 1,
-                    StoreWidth::Half => 2,
-                    StoreWidth::Word => 4,
-                };
-                // Unit-stride full-mask word stores take the shared bulk
-                // helper; broadcast stores stay on the lane loop (see
-                // [`Core::fast_word_store`]).
-                if full
-                    && matches!(width, StoreWidth::Word)
-                    && self.fast_word_store(
-                        w,
-                        rs1.num() as usize,
-                        rs2.num() as usize,
-                        offset,
-                        now,
-                        ctx,
-                    )
-                {
-                    break 'store;
-                }
-                let mut addrs = [0u32; 32];
-                let base = self.rf.row(w, rs1.num() as usize);
-                let vals = self.rf.row(w, rs2.num() as usize);
-                for_lanes!(|l| {
-                    let addr = base[l].wrapping_add(offset as u32);
-                    if addr & (bytes - 1) != 0 {
-                        return Err(SimError::MisalignedAccess { pc, addr, align: bytes });
-                    }
-                    match width {
-                        StoreWidth::Byte => ctx.mem.write_u8(addr, vals[l] as u8),
-                        StoreWidth::Half => ctx.mem.write_u16(addr, vals[l] as u16),
-                        StoreWidth::Word => ctx.mem.write_u32(addr, vals[l]),
-                    }
-                    addrs[l] = addr;
-                });
-                self.memory_access(w, &addrs, tmask, true, now, ctx);
+            Instr::Store { width, rs2, rs1, offset } => {
+                let (base, vals) = (rs1.num() as usize, rs2.num() as usize);
+                eff.mem =
+                    self.exec_store(w, full, tmask, width, base, vals, offset, pc, ctx.mem)?;
             }
             Instr::OpImm { op, rd, rs1, imm } => {
                 if !rd.is_zero() {
@@ -617,7 +650,6 @@ impl Core {
                         imm,
                     );
                 }
-                wb_int!(rd, timing.alu);
             }
             Instr::Op { op, rd, rs1, rs2 } => {
                 if !rd.is_zero() {
@@ -646,12 +678,6 @@ impl Core {
                         );
                     }
                 }
-                let lat = match meta.class {
-                    ExecClass::Mul => timing.mul,
-                    ExecClass::Div => timing.div,
-                    _ => timing.alu,
-                };
-                wb_int!(rd, lat);
             }
             Instr::Fence => {}
             Instr::Ecall => return Err(SimError::Trap { pc, breakpoint: false }),
@@ -675,7 +701,10 @@ impl Core {
                 }
                 if csr == csrs::THREAD_ID {
                     if !rd.is_zero() {
-                        write_row!(rd.num() as usize, |l| l as u32);
+                        let dst = self.rf.row_mut(w, rd.num() as usize);
+                        for l in lane_indices(tmask) {
+                            dst[l] = l as u32;
+                        }
                     }
                 } else {
                     // Every other CSR is lane-invariant: resolve it once
@@ -685,71 +714,16 @@ impl Core {
                         self.broadcast_k(w, full, tmask, rd.num() as usize, v);
                     }
                 }
-                wb_int!(rd, timing.alu);
             }
-            Instr::Flw { rd, rs1, offset } => 'flw: {
-                let mut addrs = [0u32; 32];
-                // Broadcast / unit-stride fast paths via the shared
-                // helper, as for integer word loads.
-                if full {
-                    let mut base = [0u32; 32];
-                    let _ = self.rf.copy_row(w, rs1.num() as usize, &mut base);
-                    if self.fast_word_load(
-                        w,
-                        FP_BASE + rd.num() as usize,
-                        &base,
-                        offset,
-                        pc,
-                        now,
-                        ctx,
-                    )? {
-                        break 'flw;
-                    }
-                }
-                // Masked/strided gather, as for integer word loads (the
-                // base row is read in place; validation ends its borrow).
-                {
-                    let base = self.rf.row(w, rs1.num() as usize);
-                    for_lanes!(|l| {
-                        let addr = base[l].wrapping_add(offset as u32);
-                        if addr & 3 != 0 {
-                            return Err(SimError::MisalignedAccess { pc, addr, align: 4 });
-                        }
-                        addrs[l] = addr;
-                    });
-                }
-                let dst = self.rf.row_mut(w, FP_BASE + rd.num() as usize);
-                ctx.mem.read_u32_gather(&addrs, tmask, dst);
-                let completion = self.memory_access(w, &addrs, tmask, false, now, ctx);
-                self.rf.set_busy(w, FP_BASE + rd.num() as usize, completion);
+            Instr::Flw { rd, rs1, offset } => {
+                let (d, base) = (FP_BASE + rd.num() as usize, rs1.num() as usize);
+                let word = LoadWidth::Word;
+                eff.mem = self.exec_load(w, full, tmask, word, d, base, offset, pc, ctx.mem)?;
             }
-            Instr::Fsw { rs2, rs1, offset } => 'fsw: {
-                // Unit-stride full-mask bulk path via the shared helper,
-                // as for word stores.
-                if full
-                    && self.fast_word_store(
-                        w,
-                        rs1.num() as usize,
-                        FP_BASE + rs2.num() as usize,
-                        offset,
-                        now,
-                        ctx,
-                    )
-                {
-                    break 'fsw;
-                }
-                let mut addrs = [0u32; 32];
-                let base = self.rf.row(w, rs1.num() as usize);
-                let vals = self.rf.row(w, FP_BASE + rs2.num() as usize);
-                for_lanes!(|l| {
-                    let addr = base[l].wrapping_add(offset as u32);
-                    if addr & 3 != 0 {
-                        return Err(SimError::MisalignedAccess { pc, addr, align: 4 });
-                    }
-                    ctx.mem.write_u32(addr, vals[l]);
-                    addrs[l] = addr;
-                });
-                self.memory_access(w, &addrs, tmask, true, now, ctx);
+            Instr::Fsw { rs2, rs1, offset } => {
+                let (base, vals) = (rs1.num() as usize, FP_BASE + rs2.num() as usize);
+                let word = StoreWidth::Word;
+                eff.mem = self.exec_store(w, full, tmask, word, base, vals, offset, pc, ctx.mem)?;
             }
             Instr::FpOp { op, rd, rs1, rs2 } => {
                 self.run_bin_k(
@@ -761,8 +735,6 @@ impl Core {
                     FP_BASE + rs1.num() as usize,
                     FP_BASE + rs2.num() as usize,
                 );
-                let lat = if matches!(op, FpBinOp::Div) { timing.fdiv } else { timing.fpu };
-                wb_fp!(rd, lat);
             }
             Instr::FpFma { op, rd, rs1, rs2, rs3 } => {
                 self.run_fma_k(
@@ -775,7 +747,6 @@ impl Core {
                     FP_BASE + rs2.num() as usize,
                     FP_BASE + rs3.num() as usize,
                 );
-                wb_fp!(rd, timing.fpu);
             }
             Instr::FpSqrt { rd, rs1 } => {
                 self.run_un_k(
@@ -786,7 +757,6 @@ impl Core {
                     FP_BASE + rd.num() as usize,
                     FP_BASE + rs1.num() as usize,
                 );
-                wb_fp!(rd, timing.fsqrt);
             }
             Instr::FpCmp { op, rd, rs1, rs2 } => {
                 if !rd.is_zero() {
@@ -800,7 +770,6 @@ impl Core {
                         FP_BASE + rs2.num() as usize,
                     );
                 }
-                wb_int!(rd, timing.fpu);
             }
             Instr::FpCvtToInt { signed, rd, rs1 } => {
                 if !rd.is_zero() {
@@ -813,7 +782,6 @@ impl Core {
                         FP_BASE + rs1.num() as usize,
                     );
                 }
-                wb_int!(rd, timing.fpu);
             }
             Instr::FpCvtFromInt { signed, rd, rs1 } => {
                 self.run_un_k(
@@ -824,7 +792,6 @@ impl Core {
                     FP_BASE + rd.num() as usize,
                     rs1.num() as usize,
                 );
-                wb_fp!(rd, timing.fpu);
             }
             Instr::FpMvToInt { rd, rs1 } => {
                 if !rd.is_zero() {
@@ -837,7 +804,6 @@ impl Core {
                         FP_BASE + rs1.num() as usize,
                     );
                 }
-                wb_int!(rd, timing.fpu);
             }
             Instr::FpMvFromInt { rd, rs1 } => {
                 self.run_un_k(
@@ -848,7 +814,6 @@ impl Core {
                     FP_BASE + rd.num() as usize,
                     rs1.num() as usize,
                 );
-                wb_fp!(rd, timing.fpu);
             }
             Instr::FpClass { rd, rs1 } => {
                 if !rd.is_zero() {
@@ -861,33 +826,19 @@ impl Core {
                         FP_BASE + rs1.num() as usize,
                     );
                 }
-                wb_int!(rd, timing.fpu);
             }
             Instr::Tmc { rs1 } => {
                 let mask = self.uniform(w, rs1, pc)? & self.warps[w].full_mask();
                 if mask == 0 {
-                    self.warps[w].halt();
-                    self.warp_next[w] = NEVER;
-                    halted = true;
+                    eff.sync = SyncOp::Halt;
                 } else {
-                    self.warps[w].tmask = mask;
+                    eff.tmask = mask;
                 }
             }
             Instr::Wspawn { rs1, rs2 } => {
                 let count = self.uniform(w, rs1, pc)?;
                 let target = self.uniform(w, rs2, pc)?;
-                if count as usize > self.warps.len() {
-                    return Err(SimError::WspawnTooManyWarps {
-                        requested: count,
-                        available: self.warps.len(),
-                    });
-                }
-                if let Some(sink) = ctx.trace.as_mut() {
-                    if sink.wants_warp_events() {
-                        sink.on_warp_event(self.id, w, &WarpEvent::Wspawn { count, target });
-                    }
-                }
-                self.activate_round(w, count as usize, target, now + timing.wspawn);
+                eff.sync = SyncOp::Wspawn { count, target };
             }
             Instr::Split { rs1, offset } => {
                 if self.warps[w].ipdom.len() >= ctx.ipdom_depth {
@@ -895,69 +846,48 @@ impl Core {
                 }
                 let row = self.rf.row(w, rs1.num() as usize);
                 let mut taken = 0u32;
-                for_lanes!(|l| taken |= u32::from(row[l] != 0) << l);
+                for l in lane_indices(tmask) {
+                    taken |= u32::from(row[l] != 0) << l;
+                }
                 let not_taken = tmask & !taken;
                 let else_pc = pc.wrapping_add(offset as u32);
                 if not_taken == 0 {
                     self.warps[w].ipdom.push(IpdomEntry::Uniform { restore_mask: tmask });
                 } else if taken == 0 {
                     self.warps[w].ipdom.push(IpdomEntry::Uniform { restore_mask: tmask });
-                    next_pc = else_pc;
+                    eff.next_pc = else_pc;
                 } else {
                     self.warps[w].ipdom.push(IpdomEntry::ElsePending {
                         restore_mask: tmask,
                         else_mask: not_taken,
                         else_pc,
                     });
-                    self.warps[w].tmask = taken;
+                    eff.tmask = taken;
                 }
             }
             Instr::Join => match self.warps[w].ipdom.pop() {
                 None => return Err(SimError::IpdomUnderflow { pc }),
                 Some(IpdomEntry::Uniform { restore_mask })
                 | Some(IpdomEntry::ElseRunning { restore_mask }) => {
-                    self.warps[w].tmask = restore_mask;
+                    eff.tmask = restore_mask;
                 }
                 Some(IpdomEntry::ElsePending { restore_mask, else_mask, else_pc }) => {
                     self.warps[w].ipdom.push(IpdomEntry::ElseRunning { restore_mask });
-                    self.warps[w].tmask = else_mask;
-                    next_pc = else_pc;
+                    eff.tmask = else_mask;
+                    eff.next_pc = else_pc;
                 }
             },
             Instr::Bar { rs1, rs2 } => {
                 let id = self.uniform(w, rs1, pc)?;
                 let count = self.uniform(w, rs2, pc)?;
-                if let Some(sink) = ctx.trace.as_mut() {
-                    if sink.wants_warp_events() {
-                        sink.on_warp_event(self.id, w, &WarpEvent::Bar { id, count });
-                    }
-                }
-                let count = count as usize;
-                let state = self.barriers.entry(id).or_default();
-                state.arrived.push(w);
-                if state.arrived.len() >= count {
-                    let released = self.barriers.remove(&id).expect("just inserted");
-                    for rw in released.arrived {
-                        self.warps[rw].at_barrier = None;
-                        self.warps[rw].ready_at = now + timing.barrier;
-                        self.warp_next[rw] = now + timing.barrier;
-                        self.next_issue[rw].valid = false;
-                    }
-                    // `self` (warp w) is among the released warps.
-                    self.warps[w].pc = next_pc;
-                    return Ok(());
-                } else {
-                    self.warps[w].at_barrier = Some(id);
-                    self.warps[w].ready_at = NEVER;
-                    self.warp_next[w] = NEVER;
-                    self.warps[w].pc = next_pc;
-                    return Ok(());
-                }
+                eff.sync = SyncOp::Bar { id, count };
             }
             Instr::Vote { op, rd, rs1 } => {
                 let row = self.rf.row(w, rs1.num() as usize);
                 let mut ballot = 0u32;
-                for_lanes!(|l| ballot |= u32::from(row[l] != 0) << l);
+                for l in lane_indices(tmask) {
+                    ballot |= u32::from(row[l] != 0) << l;
+                }
                 let result = match op {
                     VoteOp::Any => u32::from(ballot != 0),
                     VoteOp::All => u32::from(ballot == tmask),
@@ -966,286 +896,179 @@ impl Core {
                 if !rd.is_zero() {
                     self.broadcast_k(w, full, tmask, rd.num() as usize, result);
                 }
-                wb_int!(rd, timing.alu);
             }
         }
-
-        // Value-dependent control outcomes, recorded *after* the arm so
-        // the post-instruction PC and mask are final. (`Bar` returned
-        // above and records in its arm; `Jal` is static and needs none.)
-        if let Some(sink) = ctx.trace.as_mut() {
-            if sink.wants_warp_events() {
-                match instr {
-                    Instr::Branch { .. }
-                    | Instr::Jalr { .. }
-                    | Instr::Split { .. }
-                    | Instr::Join => {
-                        let tmask = self.warps[w].tmask;
-                        sink.on_warp_event(self.id, w, &WarpEvent::Ctl { next_pc, tmask });
-                    }
-                    Instr::Tmc { .. } => {
-                        let ev = if halted {
-                            WarpEvent::Halt
-                        } else {
-                            WarpEvent::Ctl { next_pc, tmask: self.warps[w].tmask }
-                        };
-                        sink.on_warp_event(self.id, w, &ev);
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        if !halted {
-            let taken = next_pc != pc.wrapping_add(4);
-            let gap = if taken && meta.is_control { 1 + timing.branch_bubble } else { 1 };
-            self.warps[w].pc = next_pc;
-            self.warps[w].ready_at = now + gap;
-            // `ready_at` ignores the next instruction's register hazards,
-            // so it is a valid (early) lower bound for the skip cache.
-            self.warp_next[w] = now + gap;
-        }
-        Ok(())
+        Ok(eff)
     }
 
-    /// The replay twin of [`Core::issue`]: consumes recorded
-    /// [`WarpEvent`]s for every value-dependent outcome and skips all row
-    /// kernels and functional memory traffic, while issuing with exactly
-    /// the same write-back registers, latencies, control gaps, barrier
-    /// bookkeeping and memory-system timing calls as execute mode —
-    /// cycles and counters are bit-identical by construction (CI gates
-    /// the identity over the extended cycle_dump grid). Register *values*
-    /// are not maintained: value-shaped work (CSR reads, votes, loads)
-    /// only touches the scoreboard, and uniformity/divergence checks are
-    /// skipped — the recorded run already passed them.
-    fn issue_replay<S: TraceSink + ?Sized>(
+    /// The replay frontend: the [`Effects`] of a value-dependent
+    /// instruction come from warp `w`'s next recorded [`WarpEvent`]
+    /// instead of from row kernels and functional memory. Register and
+    /// memory *values* are not maintained, and uniformity and divergence
+    /// checks are skipped — the recorded run already passed them.
+    #[inline]
+    fn replay(
         &mut self,
         w: usize,
         instr: Instr,
         meta: &InstrMeta,
-        now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Result<(), SimError> {
+        replay: &mut ReplayCtx<'_>,
+    ) -> Result<Effects, SimError> {
         let pc = self.warps[w].pc;
-        let tmask = self.warps[w].tmask;
-
-        ctx.counters.instructions += 1;
-        ctx.counters.lane_instructions += u64::from(tmask.count_ones());
-        ctx.counters.classes.record(meta.class);
-        if let Some(sink) = ctx.trace.as_mut() {
-            sink.on_issue(&IssueEvent { cycle: now, core: self.id, warp: w, pc, tmask, instr });
-        }
-
-        let timing = ctx.timing;
-        let mut next_pc = pc.wrapping_add(4);
-        let mut halted = false;
-
-        macro_rules! wb_int {
-            ($rd:expr, $lat:expr) => {{
-                if !$rd.is_zero() {
-                    self.rf.set_busy(w, $rd.num() as usize, now + $lat);
-                }
-            }};
-        }
-        macro_rules! wb_fp {
-            ($rd:expr, $lat:expr) => {{
-                self.rf.set_busy(w, FP_BASE + $rd.num() as usize, now + $lat);
-            }};
-        }
-
-        // Write-back register and latency mirror `issue` arm by arm (on
-        // the *instruction*, not the exec class: `vote`/`csr` write at ALU
-        // latency despite their classes, FP compares/converts write
-        // integer registers at FPU latency — a class-based mapping would
-        // break bit-identity under non-default timing).
+        let mut eff = Effects::fall_through(pc, self.warps[w].tmask);
         match instr {
-            Instr::Lui { rd, .. } | Instr::Auipc { rd, .. } => wb_int!(rd, timing.alu),
-            Instr::Jal { rd, offset } => {
-                wb_int!(rd, timing.alu);
-                next_pc = pc.wrapping_add(offset as u32);
-            }
-            Instr::Jalr { rd, .. } => {
-                wb_int!(rd, timing.alu);
-                let (npc, tm) = self.replay_ctl(w, pc, ctx)?;
-                self.warps[w].tmask = tm;
-                next_pc = npc;
-            }
-            Instr::Branch { .. } | Instr::Split { .. } | Instr::Join => {
-                let (npc, tm) = self.replay_ctl(w, pc, ctx)?;
-                self.warps[w].tmask = tm;
-                next_pc = npc;
-            }
-            Instr::Load { rd, .. } => {
-                let completion = self.replay_mem(w, pc, false, now, ctx)?;
-                if !rd.is_zero() {
-                    self.rf.set_busy(w, rd.num() as usize, completion);
-                }
-            }
-            Instr::Store { .. } => {
-                self.replay_mem(w, pc, true, now, ctx)?;
-            }
-            Instr::OpImm { rd, .. } => wb_int!(rd, timing.alu),
-            Instr::Op { rd, .. } => {
-                let lat = match meta.class {
-                    ExecClass::Mul => timing.mul,
-                    ExecClass::Div => timing.div,
-                    _ => timing.alu,
-                };
-                wb_int!(rd, lat);
-            }
-            Instr::Fence => {}
+            Instr::Jal { offset, .. } => eff.next_pc = pc.wrapping_add(offset as u32),
             Instr::Ecall => return Err(SimError::Trap { pc, breakpoint: false }),
             Instr::Ebreak => return Err(SimError::Trap { pc, breakpoint: true }),
-            Instr::Csr { rd, .. } => wb_int!(rd, timing.alu),
-            Instr::Flw { rd, .. } => {
-                let completion = self.replay_mem(w, pc, false, now, ctx)?;
-                self.rf.set_busy(w, FP_BASE + rd.num() as usize, completion);
-            }
-            Instr::Fsw { .. } => {
-                self.replay_mem(w, pc, true, now, ctx)?;
-            }
-            Instr::FpOp { op, rd, .. } => {
-                let lat = if matches!(op, FpBinOp::Div) { timing.fdiv } else { timing.fpu };
-                wb_fp!(rd, lat);
-            }
-            Instr::FpFma { rd, .. } => wb_fp!(rd, timing.fpu),
-            Instr::FpSqrt { rd, .. } => wb_fp!(rd, timing.fsqrt),
-            Instr::FpCmp { rd, .. }
-            | Instr::FpCvtToInt { rd, .. }
-            | Instr::FpMvToInt { rd, .. }
-            | Instr::FpClass { rd, .. } => wb_int!(rd, timing.fpu),
-            Instr::FpCvtFromInt { rd, .. } | Instr::FpMvFromInt { rd, .. } => {
-                wb_fp!(rd, timing.fpu);
-            }
-            Instr::Tmc { .. } => match self.replay_next(w, pc, ctx)? {
-                WarpEvent::Halt => {
-                    self.warps[w].halt();
-                    self.warp_next[w] = NEVER;
-                    halted = true;
-                }
-                &WarpEvent::Ctl { next_pc: npc, tmask: tm } => {
-                    self.warps[w].tmask = tm;
-                    next_pc = npc;
-                }
-                _ => return Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-            },
-            Instr::Wspawn { .. } => match self.replay_next(w, pc, ctx)? {
-                &WarpEvent::Wspawn { count, target } => {
-                    self.activate_round(w, count as usize, target, now + timing.wspawn);
-                }
-                _ => return Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-            },
-            Instr::Bar { .. } => match self.replay_next(w, pc, ctx)? {
-                &WarpEvent::Bar { id, count } => {
-                    let count = count as usize;
-                    let state = self.barriers.entry(id).or_default();
-                    state.arrived.push(w);
-                    if state.arrived.len() >= count {
-                        let released = self.barriers.remove(&id).expect("just inserted");
-                        for rw in released.arrived {
-                            self.warps[rw].at_barrier = None;
-                            self.warps[rw].ready_at = now + timing.barrier;
-                            self.warp_next[rw] = now + timing.barrier;
-                            self.next_issue[rw].valid = false;
-                        }
-                        // `self` (warp w) is among the released warps.
-                        self.warps[w].pc = next_pc;
-                        return Ok(());
-                    } else {
-                        self.warps[w].at_barrier = Some(id);
-                        self.warps[w].ready_at = NEVER;
-                        self.warp_next[w] = NEVER;
-                        self.warps[w].pc = next_pc;
-                        return Ok(());
-                    }
-                }
-                _ => return Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-            },
-            Instr::Vote { rd, .. } => wb_int!(rd, timing.alu),
+            _ => {}
         }
-
-        if !halted {
-            let taken = next_pc != pc.wrapping_add(4);
-            let gap = if taken && meta.is_control { 1 + timing.branch_bubble } else { 1 };
-            self.warps[w].pc = next_pc;
-            self.warps[w].ready_at = now + gap;
-            self.warp_next[w] = now + gap;
+        if !records_event(&instr) {
+            return Ok(eff);
         }
-        Ok(())
+        let diverged = || SimError::ReplayDiverged { core: self.id, warp: w, pc };
+        let store = meta.class == ExecClass::Store;
+        match (instr, replay.next(self.id, w).ok_or_else(diverged)?) {
+            (
+                Instr::Jalr { .. }
+                | Instr::Branch { .. }
+                | Instr::Split { .. }
+                | Instr::Join
+                | Instr::Tmc { .. },
+                &WarpEvent::Ctl { next_pc, tmask },
+            ) => {
+                eff.next_pc = next_pc;
+                eff.tmask = tmask;
+            }
+            (Instr::Tmc { .. }, WarpEvent::Halt) => eff.sync = SyncOp::Halt,
+            (Instr::Wspawn { .. }, &WarpEvent::Wspawn { count, target }) => {
+                eff.sync = SyncOp::Wspawn { count, target };
+            }
+            (Instr::Bar { .. }, &WarpEvent::Bar { id, count }) => {
+                eff.sync = SyncOp::Bar { id, count };
+            }
+            (_, &WarpEvent::MemSpan { addr0, last, store: s }) if meta.is_mem && s == store => {
+                eff.mem = MemFootprint::Span { addr0, last, store };
+            }
+            // Lane addresses are recorded pre-coalescing, one per active
+            // lane in lane order. Packed into the low slots of the lane
+            // row, they reach the backend in the same order, and it
+            // re-coalesces them against this run's line size.
+            (_, WarpEvent::MemLanes { addrs: recorded, store: s })
+                if meta.is_mem
+                    && *s == store
+                    && recorded.len() == eff.tmask.count_ones() as usize =>
+            {
+                let n = recorded.len();
+                self.lanes[..n].copy_from_slice(recorded);
+                let mask = ((1u64 << n) - 1) as u32;
+                eff.mem = MemFootprint::Lanes { mask, store };
+            }
+            _ => return Err(diverged()),
+        }
+        Ok(eff)
     }
 
-    /// The next recorded event of warp `w`, re-emitted to an attached
-    /// recording sink (so replay-under-record reproduces the trace
-    /// byte-for-byte — the idempotence half of the format tests).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::ReplayDiverged`] when the stream is exhausted.
-    fn replay_next<'e, S: TraceSink + ?Sized>(
+    /// The timing backend, shared by both frontends: applies one issued
+    /// instruction's [`Effects`] — memory timing, the scoreboard
+    /// write-back, the warp event for a recording sink, wspawn
+    /// activation, barrier arrival and release, halt, and the control
+    /// gap. Because replay re-emits the warp event from the same place
+    /// execute does, replay under a recorder reproduces the trace.
+    #[inline]
+    fn retire<S: TraceSink + ?Sized, F: Frontend>(
         &mut self,
         w: usize,
-        pc: u32,
-        ctx: &mut CoreCtx<'e, S>,
-    ) -> Result<&'e WarpEvent, SimError> {
-        let ev = ctx
-            .replay
-            .as_mut()
-            .expect("issue_replay runs only with a replay context")
-            .next(self.id, w)
-            .ok_or(SimError::ReplayDiverged { core: self.id, warp: w, pc })?;
-        if let Some(sink) = ctx.trace.as_mut() {
-            if sink.wants_warp_events() {
-                sink.on_warp_event(self.id, w, ev);
-            }
-        }
-        Ok(ev)
-    }
-
-    /// Consumes a [`WarpEvent::Ctl`] record, returning `(next_pc, tmask)`.
-    fn replay_ctl<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        pc: u32,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Result<(u32, u32), SimError> {
-        match self.replay_next(w, pc, ctx)? {
-            &WarpEvent::Ctl { next_pc, tmask } => Ok((next_pc, tmask)),
-            _ => Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
-        }
-    }
-
-    /// Consumes a memory record and re-times it against the *current*
-    /// hierarchy: spans via the arithmetic span walk, lane sets by
-    /// re-coalescing the recorded pre-coalescing addresses against this
-    /// run's line size — so a trace recorded under one cache geometry
-    /// replays correctly under another. The memory-system call shape
-    /// (span vs batch) is preserved exactly as recorded.
-    fn replay_mem<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        pc: u32,
-        is_store: bool,
+        instr: Instr,
+        meta: &InstrMeta,
+        eff: &Effects,
         now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Result<Cycle, SimError> {
-        match self.replay_next(w, pc, ctx)? {
-            &WarpEvent::MemSpan { addr0, last, store } if store == is_store => {
-                let out = ctx.memsys.access_span(self.id, addr0, last, now, is_store);
+        ctx: &mut CoreCtx<'_, S, F>,
+    ) -> Result<(), SimError> {
+        let timing = ctx.timing;
+        if let SyncOp::Wspawn { count, .. } = eff.sync {
+            if count as usize > self.warps.len() {
+                return Err(SimError::WspawnTooManyWarps {
+                    requested: count,
+                    available: self.warps.len(),
+                });
+            }
+        }
+        if let Some(sink) = ctx.trace.as_mut() {
+            if records_event(&instr) && sink.wants_warp_events() {
+                sink.on_warp_event(self.id, w, &eff.event(&self.lanes));
+            }
+        }
+
+        // Memory timing: a span's coalesced lines are the ascending run
+        // of line bases it covers, generated arithmetically inside the
+        // walk; a lane set is coalesced here and handed over as one batch
+        // (L1 bank serialisation, L2 bandwidth slots and DRAM queueing
+        // all happen inside the walk).
+        let completion = match eff.mem {
+            MemFootprint::None => now,
+            MemFootprint::Span { addr0, last, store } => {
+                let out = ctx.memsys.access_span(self.id, addr0, last, now, store);
                 self.mem_port_free = now + out.port_slots;
                 *ctx.horizon = (*ctx.horizon).max(out.completion);
-                Ok(out.completion)
+                out.completion
             }
-            WarpEvent::MemLanes { addrs, store } if *store == is_store => {
-                let lines = coalesce_lines(addrs.iter().copied(), ctx.line_bytes);
-                let out = ctx.memsys.access_batch(self.id, lines.as_slice(), now, is_store);
+            MemFootprint::Lanes { mask, store } => {
+                let lanes = lane_indices(mask).map(|l| self.lanes[l]);
+                let lines = coalesce_lines(lanes, ctx.line_bytes);
+                let out = ctx.memsys.access_batch(self.id, lines.as_slice(), now, store);
                 self.mem_port_free = now + out.port_slots;
                 if !lines.is_empty() {
                     *ctx.horizon = (*ctx.horizon).max(out.completion);
                 }
-                Ok(out.completion)
+                out.completion
             }
-            _ => Err(SimError::ReplayDiverged { core: self.id, warp: w, pc }),
+        };
+        if meta.wb != WriteBack::None {
+            let ready = completion + ctx.wb_latency[meta.wb as usize];
+            self.rf.set_busy(w, meta.dst as usize, ready);
         }
+
+        match eff.sync {
+            SyncOp::None => {}
+            SyncOp::Halt => {
+                self.warps[w].halt();
+                self.warp_next[w] = NEVER;
+                return Ok(());
+            }
+            SyncOp::Wspawn { count, target } => {
+                self.activate_round(w, count as usize, target, now + timing.wspawn);
+            }
+            SyncOp::Bar { id, count } => {
+                self.warps[w].pc = eff.next_pc;
+                let state = self.barriers.entry(id).or_default();
+                state.arrived.push(w);
+                if state.arrived.len() >= count as usize {
+                    // Warp `w` is among the released warps.
+                    let released = self.barriers.remove(&id).expect("just inserted");
+                    for rw in released.arrived {
+                        self.warps[rw].at_barrier = None;
+                        self.warps[rw].ready_at = now + timing.barrier;
+                        self.warp_next[rw] = now + timing.barrier;
+                        self.next_issue[rw].valid = false;
+                    }
+                } else {
+                    self.warps[w].at_barrier = Some(id);
+                    self.warps[w].ready_at = NEVER;
+                    self.warp_next[w] = NEVER;
+                }
+                return Ok(());
+            }
+        }
+
+        let taken = eff.next_pc != self.warps[w].pc.wrapping_add(4);
+        let gap = if taken && meta.is_control { 1 + timing.branch_bubble } else { 1 };
+        self.warps[w].pc = eff.next_pc;
+        self.warps[w].tmask = eff.tmask;
+        self.warps[w].ready_at = now + gap;
+        // `ready_at` ignores the next instruction's register hazards,
+        // so it is a valid (early) lower bound for the skip cache.
+        self.warp_next[w] = now + gap;
+        Ok(())
     }
 
     /// Snapshots source row `dense` into `buf`: whole-row move under a
@@ -1267,10 +1090,7 @@ impl Core {
         if full {
             dst.fill(v);
         } else {
-            let mut m = tmask;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
+            for l in lane_indices(tmask) {
                 dst[l] = v;
             }
         }
@@ -1437,26 +1257,13 @@ impl Core {
         s2: usize,
     ) {
         let b = self.rf.row(w, s2);
-        let uni = if full {
-            if b[1..].iter().all(|&x| x == b[0]) {
-                Some(b[0])
-            } else {
-                None
-            }
+        let first = tmask.trailing_zeros() as usize;
+        let uniform = if full {
+            b[1..].iter().all(|&x| x == b[0])
         } else {
-            let first = tmask.trailing_zeros() as usize;
-            let mut m = tmask;
-            let mut uni = Some(b[first]);
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if b[l] != b[first] {
-                    uni = None;
-                    break;
-                }
-            }
-            uni
+            lane_indices(tmask).all(|l| b[l] == b[first])
         };
+        let uni = uniform.then_some(b[first]);
         if let Some(dv) = uni {
             if dv != 0 && dv.is_power_of_two() {
                 let (ik, imm) = if rem {
@@ -1496,157 +1303,129 @@ impl Core {
         }
     }
 
-    /// Coalesces the line requests of one SIMT memory instruction and
-    /// hands the whole batch to the hierarchy in **one**
-    /// [`MemSystem::access_batch`] call (L1 bank serialisation, L2
-    /// bandwidth slots and DRAM queueing all happen inside the walk).
-    /// Returns the completion cycle of the last line.
-    fn memory_access<S: TraceSink + ?Sized>(
+    /// The load half of the execute frontend, shared by `Load` and `Flw`
+    /// (`dense` is the destination's dense register index, `0` for
+    /// `x0`): functional reads with per-lane alignment faults, returning
+    /// the access's footprint. Full-mask broadcast and unit-stride word
+    /// loads — the two dominant SIMT shapes — are served bulk, with
+    /// values and faults identical to the lane loop: a misaligned
+    /// *broadcast* faults there (lane 0 is the first lane the lane loop
+    /// would check), while a misaligned *stride* never classifies and
+    /// falls back to the lane loop, which raises the same fault on lane 0.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // hot-path helper: flat scalar args keep it register-passed
+    fn exec_load(
         &mut self,
         w: usize,
-        addrs: &[u32; 32],
+        full: bool,
         tmask: u32,
-        is_store: bool,
-        now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Cycle {
-        if let Some(sink) = ctx.trace.as_mut() {
-            if sink.wants_warp_events() {
-                // Record the *pre-coalescing* lane addresses (in lane
-                // order): replay re-coalesces against its own line size,
-                // so the trace stays valid across cache geometries.
-                let mut m = tmask;
-                let mut lanes = Vec::with_capacity(m.count_ones() as usize);
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    lanes.push(addrs[l]);
-                }
-                sink.on_warp_event(
-                    self.id,
-                    w,
-                    &WarpEvent::MemLanes { addrs: lanes, store: is_store },
-                );
-            }
-        }
-        // Iterate set bits directly: cost scales with active lanes, not
-        // with the 32-lane SIMT width.
-        let mut mask = tmask;
-        let lanes = std::iter::from_fn(move || {
-            if mask == 0 {
-                return None;
-            }
-            let l = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            Some(addrs[l])
-        });
-        let lines = coalesce_lines(lanes, ctx.line_bytes);
-        let out = ctx.memsys.access_batch(self.id, lines.as_slice(), now, is_store);
-        self.mem_port_free = now + out.port_slots;
-        if !lines.is_empty() {
-            *ctx.horizon = (*ctx.horizon).max(out.completion);
-        }
-        out.completion
-    }
-
-    /// [`memory_access`](Core::memory_access) for a contiguous ascending
-    /// span of lane addresses `addr0..=addr_last` (the broadcast and
-    /// unit-stride fast paths): the coalesced line sequence of such a span
-    /// is exactly the ascending run of line bases it covers, so the
-    /// hierarchy generates it arithmetically inside the batched walk
-    /// ([`MemSystem::access_span`]) instead of walking 32 lanes through
-    /// the dedup buffer.
-    fn memory_access_span<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
-        addr0: u32,
-        addr_last: u32,
-        is_store: bool,
-        now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Cycle {
-        if let Some(sink) = ctx.trace.as_mut() {
-            if sink.wants_warp_events() {
-                sink.on_warp_event(
-                    self.id,
-                    w,
-                    &WarpEvent::MemSpan { addr0, last: addr_last, store: is_store },
-                );
-            }
-        }
-        let out = ctx.memsys.access_span(self.id, addr0, addr_last, now, is_store);
-        self.mem_port_free = now + out.port_slots;
-        *ctx.horizon = (*ctx.horizon).max(out.completion);
-        out.completion
-    }
-
-    /// Full-mask broadcast / unit-stride word-**load** fast path into the
-    /// dense destination row `dense` — the one shared copy of what used to
-    /// be four near-identical inline blocks (integer `Load` and `Flw`;
-    /// `fast_word_store` is the store dual). Returns `Ok(true)` when the
-    /// access was served bulk, with values, coalesced line sequence, port
-    /// accounting and misalignment faults identical to the lane loop: a
-    /// misaligned *broadcast* faults here (lane 0 is the first lane the
-    /// general path would check), while a misaligned *stride* never
-    /// classifies and falls back to the lane loop, which raises the same
-    /// fault on lane 0.
-    #[allow(clippy::too_many_arguments)] // mirrors `issue`'s hot-path locals
-    fn fast_word_load<S: TraceSink + ?Sized>(
-        &mut self,
-        w: usize,
+        width: LoadWidth,
         dense: usize,
-        base: &[u32; 32],
+        base_dense: usize,
         offset: i32,
         pc: u32,
-        now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> Result<bool, SimError> {
-        let n = self.warps[w].threads();
-        match span::classify(&base[..n], offset) {
-            Span::Broadcast { addr0 } => {
-                if addr0 & 3 != 0 {
-                    return Err(SimError::MisalignedAccess { pc, addr: addr0, align: 4 });
+        mem: &MainMemory,
+    ) -> Result<MemFootprint, SimError> {
+        let word = matches!(width, LoadWidth::Word);
+        if full && dense != 0 && word {
+            // Only this path snapshots the base row (the row write below
+            // needs `&mut self`).
+            let mut buf = [0u32; 32];
+            match span::classify(self.rf.copy_row(w, base_dense, &mut buf), offset) {
+                Span::Broadcast { addr0 } => {
+                    if addr0 & 3 != 0 {
+                        return Err(SimError::MisalignedAccess { pc, addr: addr0, align: 4 });
+                    }
+                    self.rf.row_mut(w, dense).fill(mem.read_u32(addr0));
+                    return Ok(MemFootprint::Span { addr0, last: addr0, store: false });
                 }
-                let v = ctx.mem.read_u32(addr0);
-                self.rf.row_mut(w, dense).fill(v);
-                let completion = self.memory_access_span(w, addr0, addr0, false, now, ctx);
-                self.rf.set_busy(w, dense, completion);
-                Ok(true)
+                Span::UnitStride { addr0, last } => {
+                    mem.read_u32_into(addr0, self.rf.row_mut(w, dense));
+                    return Ok(MemFootprint::Span { addr0, last, store: false });
+                }
+                Span::Irregular => {}
             }
-            Span::UnitStride { addr0, last } => {
-                let dst = self.rf.row_mut(w, dense);
-                ctx.mem.read_u32_into(addr0, dst);
-                let completion = self.memory_access_span(w, addr0, last, false, now, ctx);
-                self.rf.set_busy(w, dense, completion);
-                Ok(true)
-            }
-            Span::Irregular => Ok(false),
         }
+        // The general path reads the base row in place: every active
+        // lane's address is validated first (fault on the lowest bad
+        // lane), which also ends the row borrow before the destination
+        // row is taken.
+        let bytes = load_width_bytes(width);
+        let base = self.rf.row(w, base_dense);
+        for l in lane_indices(tmask) {
+            let addr = base[l].wrapping_add(offset as u32);
+            if addr & (bytes - 1) != 0 {
+                return Err(SimError::MisalignedAccess { pc, addr, align: bytes });
+            }
+            self.lanes[l] = addr;
+        }
+        if dense == 0 {
+            // Address fault/timing only; x0 swallows the values.
+        } else if word {
+            // Masked/strided word gather: batch the functional reads page
+            // run by page run instead of one page walk per lane.
+            mem.read_u32_gather(&self.lanes, tmask, self.rf.row_mut(w, dense));
+        } else {
+            let dst = self.rf.row_mut(w, dense);
+            for l in lane_indices(tmask) {
+                let addr = self.lanes[l];
+                dst[l] = match width {
+                    LoadWidth::Byte => mem.read_u8(addr) as i8 as i32 as u32,
+                    LoadWidth::ByteU => mem.read_u8(addr) as u32,
+                    LoadWidth::Half => mem.read_u16(addr) as i16 as i32 as u32,
+                    LoadWidth::HalfU => mem.read_u16(addr) as u32,
+                    LoadWidth::Word => mem.read_u32(addr),
+                };
+            }
+        }
+        Ok(MemFootprint::Lanes { mask: tmask, store: false })
     }
 
-    /// Unit-stride full-mask word-**store** fast path (the shared copy
-    /// behind integer `Store` and `Fsw`). Broadcast rows are deliberately
-    /// rejected: overlapping stores must land in lane order, which only
-    /// the lane loop preserves. Returns `true` when the store was served
-    /// bulk.
-    fn fast_word_store<S: TraceSink + ?Sized>(
+    /// The store half of the execute frontend, shared by `Store` and
+    /// `Fsw` (`vals_dense` is the source row's dense register index).
+    /// Full-mask unit-stride word stores are served bulk. Broadcast rows
+    /// deliberately stay on the lane loop: overlapping stores must land
+    /// in lane order, which only the lane loop preserves.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // hot-path helper: flat scalar args keep it register-passed
+    fn exec_store(
         &mut self,
         w: usize,
+        full: bool,
+        tmask: u32,
+        width: StoreWidth,
         base_dense: usize,
         vals_dense: usize,
         offset: i32,
-        now: Cycle,
-        ctx: &mut CoreCtx<'_, S>,
-    ) -> bool {
+        pc: u32,
+        mem: &mut MainMemory,
+    ) -> Result<MemFootprint, SimError> {
         let base = self.rf.row(w, base_dense);
-        let (addr0, last) = match span::classify(base, offset) {
-            Span::UnitStride { addr0, last } => (addr0, last),
-            Span::Broadcast { .. } | Span::Irregular => return false,
-        };
         let vals = self.rf.row(w, vals_dense);
-        ctx.mem.write_u32_from(addr0, vals);
-        self.memory_access_span(w, addr0, last, true, now, ctx);
-        true
+        if full && matches!(width, StoreWidth::Word) {
+            if let Span::UnitStride { addr0, last } = span::classify(base, offset) {
+                mem.write_u32_from(addr0, vals);
+                return Ok(MemFootprint::Span { addr0, last, store: true });
+            }
+        }
+        let bytes = match width {
+            StoreWidth::Byte => 1,
+            StoreWidth::Half => 2,
+            StoreWidth::Word => 4,
+        };
+        for l in lane_indices(tmask) {
+            let addr = base[l].wrapping_add(offset as u32);
+            if addr & (bytes - 1) != 0 {
+                return Err(SimError::MisalignedAccess { pc, addr, align: bytes });
+            }
+            match width {
+                StoreWidth::Byte => mem.write_u8(addr, vals[l] as u8),
+                StoreWidth::Half => mem.write_u16(addr, vals[l] as u16),
+                StoreWidth::Word => mem.write_u32(addr, vals[l]),
+            }
+            self.lanes[l] = addr;
+        }
+        Ok(MemFootprint::Lanes { mask: tmask, store: true })
     }
 
     /// The value of `reg` in the lowest active lane of warp `w`, with a
@@ -1659,24 +1438,19 @@ impl Core {
         }
         let row = self.rf.row(w, reg.num() as usize);
         let v = row[tmask.trailing_zeros() as usize];
-        let mut m = tmask;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if row[l] != v {
-                return Err(err);
-            }
+        if lane_indices(tmask).any(|l| row[l] != v) {
+            return Err(err);
         }
         Ok(v)
     }
 
-    fn read_csr<S: TraceSink + ?Sized>(
+    fn read_csr<S: TraceSink + ?Sized, F: Frontend>(
         &self,
         csr: Csr,
         w: usize,
         lane: usize,
         now: Cycle,
-        ctx: &CoreCtx<'_, S>,
+        ctx: &CoreCtx<'_, S, F>,
     ) -> u32 {
         match csr {
             c if c == csrs::THREAD_ID => lane as u32,
@@ -1696,14 +1470,26 @@ impl Core {
     }
 }
 
-fn load_width_bytes(width: LoadWidth) -> (u32, bool) {
+fn load_width_bytes(width: LoadWidth) -> u32 {
     match width {
-        LoadWidth::Byte => (1, true),
-        LoadWidth::ByteU => (1, false),
-        LoadWidth::Half => (2, true),
-        LoadWidth::HalfU => (2, false),
-        LoadWidth::Word => (4, false),
+        LoadWidth::Byte | LoadWidth::ByteU => 1,
+        LoadWidth::Half | LoadWidth::HalfU => 2,
+        LoadWidth::Word => 4,
     }
+}
+
+/// The set-bit lane indices of `mask`, ascending: cost scales with the
+/// active lanes, not with the 32-lane SIMT width.
+#[inline]
+fn lane_indices(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let l = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(l)
+    })
 }
 
 #[cfg(test)]

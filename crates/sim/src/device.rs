@@ -5,9 +5,9 @@ use vortex_mem::{Cycle, MainMemory, MemStats, MemSystem};
 
 use crate::cluster::Clusters;
 use crate::config::DeviceConfig;
-use crate::core::{Core, CoreCtx, CoreOutcome};
+use crate::core::{Core, CoreCtx, CoreOutcome, Execute, Frontend};
 use crate::counters::DeviceCounters;
-use crate::decoded::DecodedInstr;
+use crate::decoded::{DecodedInstr, WriteBack};
 use crate::error::SimError;
 use crate::trace_api::{LaunchRecord, NullSink, ReplayCtx, ReplayCursor, TraceSink};
 
@@ -255,7 +255,7 @@ impl Device {
         limit: Cycle,
         trace: Option<&mut S>,
     ) -> Result<Cycle, SimError> {
-        self.run_inner(limit, trace, None)
+        self.run_inner(limit, trace, Execute)
     }
 
     /// [`run`](Device::run) in **replay** mode: every value-dependent
@@ -283,15 +283,14 @@ impl Device {
         rec: &LaunchRecord,
         cursor: &mut ReplayCursor,
     ) -> Result<Cycle, SimError> {
-        let replay = ReplayCtx::new(rec, cursor);
-        self.run_inner(limit, trace, Some(replay))
+        self.run_inner(limit, trace, ReplayCtx::new(rec, cursor))
     }
 
-    fn run_inner<S: TraceSink + ?Sized>(
+    fn run_inner<S: TraceSink + ?Sized, F: Frontend>(
         &mut self,
         limit: Cycle,
         mut trace: Option<&mut S>,
-        replay: Option<ReplayCtx<'_>>,
+        frontend: F,
     ) -> Result<Cycle, SimError> {
         // A recording sink opens one launch record per device run (the
         // runtime calls `run` exactly once per launch).
@@ -348,13 +347,14 @@ impl Device {
             mem: &mut *mem,
             memsys: &mut *memsys,
             timing: &config.timing,
+            wb_latency: WriteBack::latencies(&config.timing),
             num_cores: config.cores,
             ipdom_depth: config.ipdom_depth,
             counters: &mut *counters,
             trace,
             horizon: &mut *horizon,
             line_bytes,
-            replay,
+            frontend,
         };
 
         // Conservative-lookahead event loop: find the earliest-due cores

@@ -1,6 +1,6 @@
 //! The per-op specialised execute engine.
 //!
-//! The interpreter used to run the big ALU/FPU arms of `Core::issue`
+//! The interpreter used to run the big ALU/FPU arms of `Core::execute`
 //! through one generic row loop per arm, matching on the operation *per
 //! lane* and relying on LLVM loop unswitching to hoist the match. This
 //! module replaces that with **op-indexed dispatch into monomorphic slice

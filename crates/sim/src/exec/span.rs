@@ -7,7 +7,7 @@
 //! full-mask SIMT word accesses; both collapse 32 per-lane page walks
 //! into one bulk access. This classifier is the single copy of the
 //! pattern detection that used to be duplicated across the
-//! Load/Flw/Store/Fsw arms of `Core::issue`.
+//! Load/Flw/Store/Fsw arms of `Core::execute`.
 
 /// The detected shape of a full-mask lane-address row.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -3,7 +3,7 @@
 
 use vortex_asm::Assembler;
 use vortex_isa::{csrs, reg};
-use vortex_sim::{Device, DeviceConfig, SimError};
+use vortex_sim::{Device, DeviceConfig, LaunchRecord, NullSink, SimError, WarpEvent};
 
 const BASE: u32 = 0x8000_0000;
 const DATA: u32 = 0xA000_0000;
@@ -57,16 +57,38 @@ fn ipdom_underflow_is_detected() {
 
 #[test]
 fn wspawn_beyond_hardware_is_detected() {
-    let mut device = device_for(
-        |a| {
-            a.li(reg::T0, 100); // core only has 2 warps
-            a.la(reg::T1, BASE);
-            a.vx_wspawn(reg::T0, reg::T1);
-        },
-        DeviceConfig::with_topology(1, 2, 2),
-    );
-    let err = device.run(100_000, None).unwrap_err();
+    let build = |a: &mut Assembler| {
+        a.li(reg::T0, 100); // core only has 2 warps
+        a.la(reg::T1, BASE);
+        a.vx_wspawn(reg::T0, reg::T1);
+    };
+    let config = DeviceConfig::with_topology(1, 2, 2);
+    let err = device_for(build, config).run(100_000, None).unwrap_err();
     assert!(matches!(err, SimError::WspawnTooManyWarps { requested: 100, .. }), "got {err}");
+
+    // A replayed trace carrying the same operands meets the same check.
+    let mut rec = LaunchRecord::new(1, 2);
+    rec.push(0, 0, WarpEvent::Wspawn { count: 100, target: BASE });
+    let mut device = device_for(build, config);
+    let err = device.run_replay::<NullSink>(100_000, None, &rec, &mut rec.cursor()).unwrap_err();
+    assert!(matches!(err, SimError::WspawnTooManyWarps { requested: 100, .. }), "got {err}");
+}
+
+#[test]
+fn replayed_lane_set_must_match_the_active_lanes() {
+    let build = |a: &mut Assembler| {
+        a.la(reg::T1, DATA);
+        a.lw(reg::T0, 0, reg::T1);
+        a.vx_tmc(reg::ZERO);
+    };
+    let config = DeviceConfig::with_topology(1, 1, 2);
+    // Two active lanes, three recorded addresses.
+    let mut rec = LaunchRecord::new(1, 1);
+    rec.push(0, 0, WarpEvent::MemLanes { addrs: vec![DATA, DATA + 4, DATA + 8], store: false });
+    rec.push(0, 0, WarpEvent::Halt);
+    let mut device = device_for(build, config);
+    let err = device.run_replay::<NullSink>(100_000, None, &rec, &mut rec.cursor()).unwrap_err();
+    assert!(matches!(err, SimError::ReplayDiverged { .. }), "got {err}");
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! Randomised tests over the full assemble→execute pipeline: random
 //! straight-line ALU programs must compute exactly what a host-side
-//! interpreter of the same instruction sequence computes. Seeds are
-//! fixed so failures reproduce exactly.
+//! interpreter of the same instruction sequence computes, and a
+//! recording of each must replay to the cycles and counters of execute
+//! mode. Seeds are fixed so failures reproduce exactly.
 
-use vortex_asm::Assembler;
+use vortex_asm::{Assembler, Program};
 use vortex_isa::{reg, AluOp, Reg};
 use vortex_rng::Rng;
-use vortex_sim::{Device, DeviceConfig};
+use vortex_sim::{Device, DeviceConfig, NullSink, TimingConfig, TraceRecorder};
 
 const BASE: u32 = 0x8000_0000;
 const DATA: u32 = 0xA000_0000;
@@ -95,8 +96,60 @@ fn host_alu(op: AluOp, a: u32, b: u32) -> u32 {
     }
 }
 
+/// A timing model whose latencies are pairwise distinct and differ from
+/// the defaults, so no two latency classes time alike.
+fn distinct_timing() -> TimingConfig {
+    TimingConfig {
+        alu: 2,
+        mul: 5,
+        div: 17,
+        fpu: 7,
+        fdiv: 19,
+        fsqrt: 23,
+        branch_bubble: 3,
+        wspawn: 11,
+        barrier: 13,
+    }
+}
+
+const LIMIT: u64 = 10_000_000;
+
+/// A 1-core, 1-warp, 2-lane device under `timing` with `program` loaded
+/// and warp 0 started at its base.
+fn device(program: &Program, timing: TimingConfig) -> Device {
+    let mut config = DeviceConfig::with_topology(1, 1, 2);
+    config.timing = timing;
+    let mut device = Device::new(config);
+    device.load_program(program);
+    device.start_warp(0, BASE);
+    device
+}
+
+/// Records `program` under default timing, then replays the recording
+/// under default timing and under [`distinct_timing`]: each replay must
+/// finish at the cycle, and with the counters, of executing under the
+/// same timing, and consume the whole recording.
+fn assert_replay_matches_execute(program: &Program, case: usize) {
+    let mut recorder = TraceRecorder::new(1, 1);
+    device(program, TimingConfig::default()).run_with(LIMIT, Some(&mut recorder)).expect("records");
+    let trace = recorder.finish();
+    assert!(!trace.tainted, "case {case}: no timing CSR is read");
+    let launch = &trace.launches[0];
+    for timing in [TimingConfig::default(), distinct_timing()] {
+        let mut executed = device(program, timing);
+        let exec_end = executed.run_untraced(LIMIT).expect("executes");
+        let mut replayed = device(program, timing);
+        let mut cursor = launch.cursor();
+        let replay_end =
+            replayed.run_replay::<NullSink>(LIMIT, None, launch, &mut cursor).expect("replays");
+        assert_eq!(replay_end, exec_end, "case {case}: finish cycle under {timing:?}");
+        assert_eq!(replayed.counters(), executed.counters(), "case {case}: counters");
+        assert_eq!(launch.leftover(&cursor), 0, "case {case}: recording fully consumed");
+    }
+}
+
 /// Random straight-line programs agree with the host model on every pool
-/// register.
+/// register, and replay their own recording to execute mode's cycles.
 #[test]
 fn straight_line_alu_agrees_with_host() {
     let mut rng = Rng::seed_from_u64(0x5EEDA1);
@@ -134,12 +187,11 @@ fn straight_line_alu_agrees_with_host() {
         asm.vx_tmc(reg::ZERO);
         let program = asm.assemble().expect("assembles");
 
-        let mut device = Device::new(DeviceConfig::with_topology(1, 1, 2));
-        device.load_program(&program);
-        device.start_warp(0, BASE);
-        device.run(10_000_000, None).expect("runs");
+        let mut device = device(&program, TimingConfig::default());
+        device.run(LIMIT, None).expect("runs");
         let device_regs = device.memory().read_u32_vec(DATA, POOL.len());
         assert_eq!(&device_regs[..], &host[..], "case {case}: {ops:?}");
+        assert_replay_matches_execute(&program, case);
     }
 }
 
